@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck bench bench-json test-loss test-fault test-soak bench-reliable bench-pipeline bench-syscall check-bench5 bench-obs check-bench6 test-obs test-multiproc bench-multiproc check-bench7 test-churn test-partition ci
+.PHONY: build test race vet staticcheck bench-smoke bench bench-json test-loss test-fault test-soak bench-reliable bench-pipeline bench-syscall check-bench5 bench-obs check-bench6 test-obs test-multiproc bench-multiproc check-bench7 test-churn test-partition ci
 
 build:
 	$(GO) build ./...
@@ -9,13 +9,15 @@ test:
 	$(GO) test ./...
 
 # Tier-1 race coverage: the substrate (MPSC inbox, UDP conduit), the
-# operations plane (event bus, histograms, export server), plus the
-# runtime facade. -p 1 serializes the packages: the root package holds
-# wall-clock shape assertions (eager vs defer ratios) that lose their
-# margin when another package's stress tests compete for the CPU under
-# the race detector.
+# operations plane (event bus, histograms, export server), the two
+# applications whose access patterns the bulk-RMA memory model governs
+# (GUPS, matching: plain segment copies ordered only by completion
+# edges, DESIGN.md §5), plus the runtime facade. -p 1 serializes the
+# packages: the root package holds wall-clock shape assertions (eager vs
+# defer ratios) that lose their margin when another package's stress
+# tests compete for the CPU under the race detector.
 race:
-	$(GO) test -race -p 1 ./internal/gasnet/ ./internal/obs/ .
+	$(GO) test -race -p 1 ./internal/gasnet/ ./internal/obs/ ./internal/gups/ ./internal/matching/ .
 
 vet:
 	$(GO) vet ./...
@@ -28,6 +30,12 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)" ; \
 	fi
+
+# bench/ is its own module (gupcxx/bench, replace gupcxx => ../), so the
+# tier-1 build never compiles it: this is what makes a root-module API
+# change that breaks the benchmark fail the PR that makes it (~10 s).
+bench-smoke:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Substrate fast-path microbenchmarks (ring vs seed mutex queue, wire
 # coalescing, collective exchange). The full paper-figure suite lives in
@@ -189,4 +197,4 @@ check-bench7:
 	./scripts/check_bench7.sh BENCH_7.json
 
 # Everything CI runs, in CI's order.
-ci: build test race vet staticcheck check-bench5 check-bench6 check-bench7 test-obs test-loss test-fault test-soak test-multiproc test-churn test-partition
+ci: build test race vet bench-smoke staticcheck check-bench5 check-bench6 check-bench7 test-obs test-loss test-fault test-soak test-multiproc test-churn test-partition

@@ -152,7 +152,7 @@ func (d *Domain) LivenessState(local, peer int) string {
 		return "alive"
 	}
 	switch d.lv.stateOf(local, peer) {
-	case peerSuspect:
+	case peerSuspect, peerDying:
 		return "suspect"
 	case peerDown:
 		return "down"

@@ -1,6 +1,7 @@
 package gasnet
 
 import (
+	"encoding/binary"
 	"sync"
 	"testing"
 	"time"
@@ -210,7 +211,7 @@ func TestPutGetAmoRemote(t *testing.T) {
 	amoDone := false
 	ep0.AmoRemote(1, off, AmoAdd, 10, 0, func(o uint64, _ error) { old = o; amoDone = true })
 	spinBoth(t, d, func() bool { return amoDone })
-	want := leU64(data)
+	want := binary.NativeEndian.Uint64(data)
 	if old != want {
 		t.Errorf("amo old = %#x, want %#x", old, want)
 	}

@@ -33,6 +33,11 @@ const (
 	peerAlive int32 = iota
 	peerSuspect
 	peerDown
+	// peerDying is markDown's claim: the winner of the transition holds
+	// it for exactly one deaths bump before publishing peerDown. Every
+	// reader treats it as not-yet-down; every other transition's CAS
+	// fails against it.
+	peerDying
 )
 
 // Down causes. A Down reached through SILENCE (heartbeat timeout or
@@ -136,7 +141,10 @@ type liveness struct {
 	// registration (Endpoint.DownGen); the Poll-time sweep fails exactly
 	// the entries whose stamp predates the current count, so operations
 	// registered against a readmitted peer survive the sweep that buries
-	// its previous incarnation.
+	// its previous incarnation. Invariant: the count rises BEFORE the
+	// verdict is published — down(local, peer) == true implies deathsOf
+	// already includes that death — so an op that saw the peer Down (or
+	// was refused because of it) never stamps the buried generation.
 	deaths []atomic.Uint32
 
 	// staleEv[local*ranks+peer] edge-limits EvStaleIncarnation: armed on
@@ -370,9 +378,10 @@ func (lv *liveness) markSuspect(local, peer int) {
 // markDown transitions local's view of peer to Down (idempotent within
 // one incarnation — readmission resets the state and a later death counts
 // again) and bumps local's epoch so the rank goroutine sweeps its op
-// table at the next Poll. The deaths stamp rises before the epoch so a
-// sweep triggered by the epoch change always observes the new
-// generation. Callable from any goroutine.
+// table at the next Poll. The deaths stamp rises before both the Down
+// verdict (see the deaths field) and the epoch, so a caller that reads
+// PeerDown, and a sweep triggered by the epoch change, always observe
+// the new generation. Callable from any goroutine.
 //
 // The cause decides what happens to the reliability pair. A terminal
 // death (causeBye, or healing disabled) releases it — in-flight buffers
@@ -387,16 +396,19 @@ func (lv *liveness) markDown(local, peer int, cause int32) {
 	i := lv.idx(local, peer)
 	for {
 		s := lv.state[i].Load()
-		if s == peerDown {
+		if s == peerDown || s == peerDying {
 			return
 		}
-		if lv.state[i].CompareAndSwap(s, peerDown) {
+		if lv.state[i].CompareAndSwap(s, peerDying) {
 			break
 		}
 	}
+	lv.deaths[i].Add(1)
+	// CAS, not Store: a readmit that ran inside the claim already made
+	// the pair Alive under a new incarnation and must not be overwritten.
+	lv.state[i].CompareAndSwap(peerDying, peerDown)
 	lv.d.peersDown.Add(1)
 	lv.d.emit(obs.EvPeerDown, local, peer, 0, 0)
-	lv.deaths[i].Add(1)
 	lv.epoch[local].Add(1)
 	lv.downCause[i].Store(cause)
 	healable := cause == causeNet && !lv.healOff

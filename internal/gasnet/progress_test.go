@@ -1,6 +1,7 @@
 package gasnet
 
 import (
+	"encoding/binary"
 	"testing"
 	"time"
 )
@@ -24,8 +25,8 @@ func TestPollInternalServicesRequests(t *testing.T) {
 		d.Endpoint(1).PollInternal() // target: internal progress only
 		d.Endpoint(0).Poll()         // initiator: user-level
 	}
-	if leU64(dst) != 424242 {
-		t.Errorf("get = %d", leU64(dst))
+	if binary.NativeEndian.Uint64(dst) != 424242 {
+		t.Errorf("get = %d", binary.NativeEndian.Uint64(dst))
 	}
 }
 

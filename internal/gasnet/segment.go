@@ -1,6 +1,7 @@
 package gasnet
 
 import (
+	"encoding/binary"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -11,6 +12,10 @@ import (
 // co-located ranks may access directly and remote ranks reach through the
 // AM protocol. All allocation is 8-byte aligned, so any offset handed out
 // by Alloc is valid for atomic word access.
+//
+// The segment synchronises nothing beyond single words: an aligned
+// 8-byte access through CopyIn/CopyOut/WordAt is atomic, anything larger
+// is plain memory whose ordering is the accessor's business (see CopyIn).
 //
 // This file is the only place in the repository that uses package unsafe;
 // every typed view of segment memory is produced here.
@@ -139,64 +144,31 @@ func (s *Segment) PointerAt(off uint32, n int) unsafe.Pointer {
 	return unsafe.Pointer(&s.bytes[off])
 }
 
-// CopyIn copies src into the segment at off. When both the offset and
-// length are word-aligned the copy is performed with atomic word stores, so
-// concurrent direct accesses by co-located ranks observe only whole-word
-// values (torn bytes never appear). Unaligned transfers fall back to a
-// plain copy.
+// CopyIn copies src into the segment at off. One aligned 8-byte word is
+// a single atomic store (native byte order, so it writes the bytes a copy
+// would) — the only atomicity the segment promises, and what word puts,
+// flag idioms and AMOs on the same word rely on. Every other shape is a
+// plain copy (runtime memmove) ordered by nothing: the caller's
+// completion edge (barrier, AM delivery, a later word-atomic flag store)
+// is what publishes it, and a conflicting unsynchronised access is the
+// user's data race, as in UPC++.
 func (s *Segment) CopyIn(off uint32, src []byte) {
 	s.checkRange(off, len(src))
 	if off%8 == 0 && len(src) == 8 {
-		atomic.StoreUint64(&s.mem[off/8], leU64(src))
-		return
-	}
-	if off%8 == 0 && len(src)%8 == 0 {
-		w := off / 8
-		for i := 0; i+8 <= len(src); i += 8 {
-			v := leU64(src[i : i+8])
-			atomic.StoreUint64(&s.mem[w], v)
-			w++
-		}
+		atomic.StoreUint64(&s.mem[off/8], binary.NativeEndian.Uint64(src))
 		return
 	}
 	copy(s.bytes[off:], src)
 }
 
-// CopyOut copies [off, off+len(dst)) from the segment into dst, using
-// atomic word loads for aligned transfers (mirroring CopyIn).
+// CopyOut copies [off, off+len(dst)) from the segment into dst: one
+// atomic load for an aligned 8-byte word, a plain copy otherwise
+// (mirroring CopyIn).
 func (s *Segment) CopyOut(off uint32, dst []byte) {
 	s.checkRange(off, len(dst))
 	if off%8 == 0 && len(dst) == 8 {
-		putLeU64(dst, atomic.LoadUint64(&s.mem[off/8]))
-		return
-	}
-	if off%8 == 0 && len(dst)%8 == 0 {
-		w := off / 8
-		for i := 0; i+8 <= len(dst); i += 8 {
-			putLeU64(dst[i:i+8], atomic.LoadUint64(&s.mem[w]))
-			w++
-		}
+		binary.NativeEndian.PutUint64(dst, atomic.LoadUint64(&s.mem[off/8]))
 		return
 	}
 	copy(dst, s.bytes[off:int(off)+len(dst)])
-}
-
-// leU64 reads a little-endian uint64 from an 8-byte slice.
-func leU64(b []byte) uint64 {
-	_ = b[7]
-	return uint64(b[0]) | uint64(b[1])<<8 | uint64(b[2])<<16 | uint64(b[3])<<24 |
-		uint64(b[4])<<32 | uint64(b[5])<<40 | uint64(b[6])<<48 | uint64(b[7])<<56
-}
-
-// putLeU64 writes a little-endian uint64 into an 8-byte slice.
-func putLeU64(b []byte, v uint64) {
-	_ = b[7]
-	b[0] = byte(v)
-	b[1] = byte(v >> 8)
-	b[2] = byte(v >> 16)
-	b[3] = byte(v >> 24)
-	b[4] = byte(v >> 32)
-	b[5] = byte(v >> 40)
-	b[6] = byte(v >> 48)
-	b[7] = byte(v >> 56)
 }
