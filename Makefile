@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck bench-smoke bench bench-json test-loss test-fault test-soak bench-reliable bench-pipeline bench-syscall check-bench5 bench-obs check-bench6 test-obs test-multiproc bench-multiproc check-bench7 test-churn test-partition ci
+.PHONY: build test race vet staticcheck bench-smoke bench bench-compare test-loss test-fault test-soak test-obs test-multiproc test-churn test-partition ci
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,7 @@ race:
 
 vet:
 	$(GO) vet ./...
+	test -z "$$(gofmt -l .)"
 
 # Deep static analysis. Skips gracefully when the tool is not on PATH so
 # offline checkouts can still run `make ci`; CI installs it explicitly.
@@ -37,19 +38,24 @@ staticcheck:
 bench-smoke:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
-# Substrate fast-path microbenchmarks (ring vs seed mutex queue, wire
-# coalescing, collective exchange). The full paper-figure suite lives in
-# cmd/benchall.
-BENCH_PATTERN = BenchmarkAMInjection|BenchmarkUDPCoalesce
+# The repository's one benchmark (bench/README.md): all six workloads,
+# untraced then traced, ~4.5 min; writes bench/out/record.json.
 bench:
-	$(GO) test -run XXX -bench '$(BENCH_PATTERN)' -benchmem -count 3 ./internal/gasnet/
-	$(GO) test -run XXX -bench BenchmarkCollectiveExchange -benchmem -count 3 .
+	bash bench/run.sh
 
-# Re-record the benchmark baseline (BENCH_1.json holds the checked-in one).
-bench-json:
-	{ $(GO) test -run XXX -bench '$(BENCH_PATTERN)' -benchmem -count 3 ./internal/gasnet/ ; \
-	  $(GO) test -run XXX -bench BenchmarkCollectiveExchange -benchmem -count 3 . ; } \
-	| ./scripts/bench2json.sh > BENCH_1.json
+# Judge this tree against another commit: check BASE out in a throwaway
+# git worktree under $TMPDIR, run its benchmark there, run this tree's,
+# then print this tree's verdict (improved / unchanged / regressed /
+# unresolved) per workload x end-to-end metric. ~9 min.
+bench-compare:
+	@test -n "$(BASE)" || { echo "usage: make bench-compare BASE=<git ref>" >&2; exit 2; }
+	@set -e; \
+	wt="$$(mktemp -d "$${TMPDIR:-/tmp}/gupcxx-bench-base.XXXXXX")"; \
+	trap 'git worktree remove --force "$$wt" >/dev/null 2>&1 || rm -rf "$$wt"' EXIT; \
+	git worktree add --detach "$$wt" "$(BASE)" >/dev/null; \
+	bash "$$wt/bench/run.sh" >/dev/null; \
+	bash bench/run.sh >/dev/null; \
+	bash bench/run.sh -compare "$$wt/bench/out/record.json" bench/out/record.json
 
 # Run the UDP-touching test packages with deterministic fault injection on
 # every domain: 25% drop + duplication + reordering from a fixed seed. The
@@ -81,60 +87,6 @@ test-soak:
 	GUPCXX_SOAK_SECONDS=30 GUPCXX_UDP_FAULT="drop=0.25,seed=7" \
 		$(GO) test -count 1 -race -run TestSoakMixedChurn -timeout 10m .
 
-# Reliability-layer overhead: sequenced vs raw datagrams on a clean wire,
-# plus recovery cost at 10% drop. BENCH_2.json holds the checked-in record.
-bench-reliable:
-	$(GO) test -run XXX -bench BenchmarkReliableOverhead -benchmem -count 3 ./internal/gasnet/ \
-		| ./scripts/bench2json.sh > BENCH_2.json
-
-# Unified-pipeline op latency/allocs per version (put/get/fetchadd/rpc).
-# BENCH_3.json holds the checked-in record; check_bench3.sh fails the
-# target if any eager-version row regressed to allocating.
-bench-pipeline:
-	$(GO) test -run XXX -bench 'BenchmarkOpPipeline$$' -benchmem -count 3 . \
-		| ./scripts/bench2json.sh > BENCH_3.json
-	./scripts/check_bench3.sh BENCH_3.json
-
-# Same pipeline suite re-recorded after the flow-control work (BENCH_4.json
-# is the checked-in record): admission sits on the initiation path, so this
-# is the proof it costs nothing on-node — the eager rows must still show
-# zero allocations, enforced by the same gate as BENCH_3.
-bench-flow:
-	$(GO) test -run XXX -bench 'BenchmarkOpPipeline$$' -benchmem -count 3 . \
-		| ./scripts/bench2json.sh > BENCH_4.json
-	./scripts/check_bench3.sh BENCH_4.json
-
-# Vectorized-datapath record: per-version pipeline rows plus the
-# asynchronous completion-form rows (future vs continuation) and the UDP
-# coalescing bench with its syscalls-per-burst metrics. BENCH_5.json is
-# the checked-in record; check_bench5.sh fails the regeneration if a
-# continuation row allocates or an eager row regresses.
-bench-syscall:
-	{ $(GO) test -run XXX -bench 'BenchmarkOpPipeline$$|BenchmarkOpPipelineAsync$$' -benchmem -count 3 . ; \
-	  $(GO) test -run XXX -bench BenchmarkUDPCoalesce -benchmem -count 3 ./internal/gasnet/ ; } \
-	| ./scripts/bench2json.sh > BENCH_5.json
-	./scripts/check_bench5.sh BENCH_5.json
-
-# Validate the checked-in BENCH_5 record without re-running the benches —
-# cheap enough for every CI run; bench-syscall re-records and re-checks.
-check-bench5:
-	./scripts/check_bench5.sh BENCH_5.json
-
-# Operations-plane overhead record: the eager pipeline baseline next to
-# the same families with the metrics plane active (Observed = listener
-# bound, nil phase hook; Sampled = latency hook installed on every
-# rank). BENCH_6.json is the checked-in record; check_bench6.sh pins
-# both new row sets at 0 allocs/op and bounds the nil-observer latency
-# overhead against the baseline at 3% geomean.
-bench-obs:
-	$(GO) test -run XXX -bench 'BenchmarkOpPipeline($$|Observed|Sampled)' -benchmem -count 3 . \
-		| ./scripts/bench2json.sh > BENCH_6.json
-	./scripts/check_bench6.sh BENCH_6.json
-
-# Validate the checked-in BENCH_6 record without re-running the benches.
-check-bench6:
-	./scripts/check_bench6.sh BENCH_6.json
-
 # Operations-plane test suite: the bus/histogram/export unit tests plus
 # the root integration tests (live scrape, handler mount, lifecycle,
 # event drain after Close, observed-pipeline allocation contract).
@@ -157,12 +109,12 @@ test-multiproc:
 
 # Churn suite (DESIGN.md §15): epoch-based peer readmission end to end.
 # The in-process units (incarnation gating, stale-datagram drops,
-# generation-scoped sweeps, the DisableReadmission escape hatch), the
-# boot-layer units (restartable rendezvous, join backoff, RestartRank),
-# then the kill/restart soak: a 4-rank process world under 25% injected
-# loss where one rank is SIGKILLed and relaunched three times — each
-# incarnation must be readmitted by every survivor and the world must
-# finish cleanly. All under the race detector.
+# generation-scoped sweeps), the boot-layer units (restartable
+# rendezvous, join backoff, RestartRank), then the kill/restart soak: a
+# 4-rank process world under 25% injected loss where one rank is
+# SIGKILLed and relaunched three times — each incarnation must be
+# readmitted by every survivor and the world must finish cleanly. All
+# under the race detector.
 test-churn:
 	$(GO) test -race -count 1 -run 'TestChurn' ./internal/gasnet/
 	$(GO) test -race -count 1 -run 'TestSpecJoinWait|TestRendezvousRejoin|TestJoinBackoffDeadline|TestRestartRank' ./internal/boot/
@@ -171,30 +123,14 @@ test-churn:
 # Partition suite (DESIGN.md §16): the scenario engine and
 # same-incarnation healing end to end. The in-process units (scenario DSL
 # parsing, mid-run fault arming, latency injection, partition→Down→heal,
-# asymmetric one-way loss, retransmit-backoff re-arm on heal, the
-# DisableHealing kill switch), then the split-brain soak: a 4-rank
-# process world cut 2|2 by GUPCXX_UDP_SCENARIO, held apart long past
-# DownAfter, and healed — every severed pair must return to Alive under
-# the same incarnation with zero readmissions. All under the race
-# detector.
+# asymmetric one-way loss, retransmit-backoff re-arm on heal), then the
+# split-brain soak: a 4-rank process world cut 2|2 by
+# GUPCXX_UDP_SCENARIO, held apart long past DownAfter, and healed — every
+# severed pair must return to Alive under the same incarnation with zero
+# readmissions. All under the race detector.
 test-partition:
-	$(GO) test -race -count 1 -run 'TestScenarioParse|TestSetFaultMidRunArming|TestLatencyInjection|TestPartition|TestDisableHealing|TestAsymmetricLoss|TestHealResets' ./internal/gasnet/
+	$(GO) test -race -count 1 -run 'TestScenarioParse|TestSetFaultMidRunArming|TestLatencyInjection|TestPartition|TestAsymmetricLoss|TestHealResets' ./internal/gasnet/
 	$(GO) test -race -count 1 -run 'TestMultiprocPartition' -timeout 10m .
 
-# Cross-process record: the op-pipeline families on an in-process UDP
-# world (wire armed, locality resolves to memory) next to the same
-# families crossing a real process boundary over loopback (rank 1 is a
-# spawned child). BENCH_7.json is the checked-in record; check_bench7.sh
-# pins the in-process eager rows at 0 allocs/op and requires all four
-# cross-process families to be present.
-bench-multiproc:
-	$(GO) test -run XXX -bench 'BenchmarkOpPipelineUDP$$|BenchmarkOpPipelineMultiproc$$' -benchmem . \
-		| ./scripts/bench2json.sh > BENCH_7.json
-	./scripts/check_bench7.sh BENCH_7.json
-
-# Validate the checked-in BENCH_7 record without re-running the benches.
-check-bench7:
-	./scripts/check_bench7.sh BENCH_7.json
-
 # Everything CI runs, in CI's order.
-ci: build test race vet bench-smoke staticcheck check-bench5 check-bench6 check-bench7 test-obs test-loss test-fault test-soak test-multiproc test-churn test-partition
+ci: build test race vet bench-smoke staticcheck test-obs test-loss test-fault test-soak test-multiproc test-churn test-partition

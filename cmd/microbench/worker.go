@@ -19,7 +19,7 @@ const wireIterCap = 20_000
 // maybeWorker runs this process as one rank of a gupcxxrun-launched
 // world: per-operation latency of put/get/fetch-add against the next
 // rank — real sockets, real kernels, the loopback-multiproc numbers to
-// hold against the in-process UDP conduit (BENCH_7). Rank 0 drives and
+// hold against the in-process UDP conduit. Rank 0 drives and
 // reports; other ranks serve progress inside the closing barrier.
 // Never returns when GUPCXX_WORLD is set.
 func maybeWorker() {

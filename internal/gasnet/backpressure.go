@@ -47,8 +47,8 @@ func (e *BackpressureError) Is(target error) bool { return target == ErrBackpres
 // scheme would leak credits. The residual over-admission is bounded by
 // rel.send's own (liveness-aware) window block.
 //
-// Conduits without a reliability layer (SMP, PSHM, SIM, unreliable UDP)
-// and self-sends have no window to fill and are always admitted.
+// Conduits without a reliability layer (SMP, PSHM, SIM) and self-sends
+// have no window to fill and are always admitted.
 func (ep *Endpoint) AdmitSend(to int, maxWait time.Duration) error {
 	d := ep.dom
 	if d.rel == nil || to == ep.rank || to < 0 || to >= d.cfg.Ranks {

@@ -193,54 +193,3 @@ func BenchmarkUDPCoalesce(b *testing.B) {
 	b.Run("single", func(b *testing.B) { run(b, false) })
 	b.Run("burst8", func(b *testing.B) { run(b, true) })
 }
-
-// BenchmarkReliableOverhead measures what the reliability layer costs per
-// message on a clean wire, and what it delivers on a dirty one:
-//
-//   - raw: sequencing/acks/retransmission disabled (UDPUnreliable) — the
-//     pre-reliability datagram path, the baseline.
-//   - reliable: the default sequenced path on a loss-free loopback. The
-//     delta against raw is the protocol's steady-state overhead (an 11-byte
-//     header, one per-pair mutex crossing per side, ack bookkeeping).
-//   - reliable/drop10: the sequenced path with 10% injected drop — ns/op
-//     now includes retransmission latency, the price of actual recovery.
-func BenchmarkReliableOverhead(b *testing.B) {
-	run := func(b *testing.B, cfg Config) {
-		d, err := NewDomain(cfg)
-		if err != nil {
-			b.Fatal(err)
-		}
-		defer d.Close()
-		received := 0
-		d.RegisterHandler(HandlerUserBase, func(*Endpoint, *Msg) { received++ })
-		ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
-		payload := []byte("collective token payload")
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			ep0.Send(1, Msg{Handler: HandlerUserBase, A0: uint64(i), Payload: payload})
-			deadline := time.Now().Add(5 * time.Second)
-			for received <= i {
-				if ep1.Poll() == 0 {
-					ep1.Park()
-					if time.Now().After(deadline) {
-						b.Fatalf("iteration %d: delivered %d", i, received)
-					}
-				}
-			}
-		}
-		b.StopTimer()
-		s := d.Stats()
-		b.ReportMetric(float64(s.Retransmits)/float64(b.N), "retransmits/op")
-	}
-	b.Run("raw", func(b *testing.B) {
-		run(b, Config{Ranks: 2, Conduit: UDP, UDPUnreliable: true})
-	})
-	b.Run("reliable", func(b *testing.B) {
-		run(b, Config{Ranks: 2, Conduit: UDP})
-	})
-	b.Run("reliable/drop10", func(b *testing.B) {
-		run(b, Config{Ranks: 2, Conduit: UDP,
-			Fault: &FaultConfig{Seed: 3, Drop: 0.10}})
-	})
-}

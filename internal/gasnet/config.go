@@ -133,66 +133,49 @@ type Config struct {
 	// shields a domain from that preset. Ignored by other conduits.
 	Fault *FaultConfig
 
-	// UDPUnreliable disables the UDP conduit's reliability layer
-	// (sequencing, acks, retransmission — see reliable.go), restoring the
-	// raw-datagram behaviour that assumes a lossless, ordered loopback.
-	// Only sensible for overhead measurement; combined with Fault,
-	// messages are genuinely lost. Ignored by other conduits.
-	UDPUnreliable bool
-
-	// UDPNoMmsg forces the UDP conduit onto the portable sequential I/O
-	// path (one sendto/recvfrom syscall per datagram) even on platforms
-	// with sendmmsg/recvmmsg support — for comparative measurement and
-	// for exercising the fallback on Linux. The vectorized and sequential
-	// paths are semantically identical; only the syscall count (and the
-	// Stats Sendmmsg*/Recvmmsg* counters, which stay zero here) differs.
-	// Ignored by other conduits.
-	UDPNoMmsg bool
-
 	// RelWindow bounds the reliability layer's per-pair in-flight
 	// (unacked) datagrams and receive-side reorder buffer. Zero selects
 	// the default (256). It is the *maximum* of the adaptive congestion
 	// window, which moves AIMD-style between RelWindowMin and this value.
-	// Reliable UDP only.
+	// UDP only.
 	RelWindow int
 
 	// RelWindowMin is the AIMD floor of the adaptive congestion window:
 	// loss signals never halve the window below this. Zero selects the
-	// default (8, clamped to RelWindow). Reliable UDP only.
+	// default (8, clamped to RelWindow). UDP only.
 	RelWindowMin int
 
 	// RelReorderBytes bounds, per rank pair, the bytes of out-of-order
 	// frames parked in the receive-side reorder buffer. Parking past the
 	// budget sheds the parked frame furthest from delivery (the sender
 	// retransmits it), so one peer's burst cannot pin unbounded memory.
-	// Zero selects the default (1 MiB). Reliable UDP only.
+	// Zero selects the default (1 MiB). UDP only.
 	RelReorderBytes int
 
 	// Backpressure selects the admission policy when an operation targets
 	// a peer whose send window is full: BackpressureBlock (the zero value)
 	// waits up to BackpressureWait for a credit before failing with
 	// ErrBackpressure; BackpressureFailFast fails immediately, surfacing
-	// overload as a completion value the caller can react to. Reliable
-	// UDP only.
+	// overload as a completion value the caller can react to. UDP only.
 	Backpressure BackpressurePolicy
 
 	// BackpressureWait bounds how long blocking admission
 	// (BackpressureBlock) may wait for a window credit. Zero selects the
 	// default (2s). The wait is further capped by the operation's own
-	// deadline, when it has one. Reliable UDP only.
+	// deadline, when it has one. UDP only.
 	BackpressureWait time.Duration
 
 	// RelMaxAttempts is the retransmission budget: this many fruitless
 	// retransmits of one datagram exhaust the attempt budget and the
 	// destination is declared down (ErrPeerUnreachable for its pending
 	// operations) instead of retrying forever. Zero selects the default
-	// (64). Reliable UDP only.
+	// (64). UDP only.
 	RelMaxAttempts int
 
 	// HeartbeatEvery is the liveness heartbeat period: the reliability
 	// ticker ships one small unsequenced heartbeat per rank pair each
 	// period, so silence is measurable even on idle ranks. Zero selects
-	// 5ms. Reliable UDP only.
+	// 5ms. UDP only.
 	HeartbeatEvery time.Duration
 
 	// SuspectAfter is how long a peer may stay silent before it is marked
@@ -205,11 +188,6 @@ type Config struct {
 	// and new operations targeting it fail at injection. Zero selects
 	// 40×HeartbeatEvery.
 	DownAfter time.Duration
-
-	// DisableLiveness turns the heartbeat/failure-detection machinery off
-	// entirely (retransmission exhaustion then aborts the job, the
-	// pre-liveness behaviour).
-	DisableLiveness bool
 
 	// Multiproc selects the process-per-rank deployment shape on the UDP
 	// conduit: this OS process hosts exactly one rank (Self), every other
@@ -253,18 +231,6 @@ type Config struct {
 	// unless Multiproc.
 	Rejoin bool
 
-	// DisableReadmission restores sticky-Down: join frames from restarted
-	// peers are ignored, and a peer once declared down stays down for the
-	// life of this process. Reliable UDP only.
-	DisableReadmission bool
-
-	// DisableHealing restores terminal Down for silence-declared peers: no
-	// partition probes are sent and incoming probes are ignored (no acks
-	// either, so both sides of a partition converge to sticky Down
-	// symmetrically). Readmission of restarted peers is unaffected.
-	// Reliable UDP only.
-	DisableHealing bool
-
 	// Events, when non-nil, receives substrate health events: liveness
 	// transitions (suspect/down/recovered), backpressure onset and relief,
 	// congestion-window shrink and recovery-to-ceiling, and retransmit
@@ -273,7 +239,7 @@ type Config struct {
 	// wired permanently. The field must be set before NewDomain: the
 	// reliability ticker starts during construction and emits from its own
 	// goroutine. Events fire on state *transitions* only, never per frame.
-	// Only the reliable UDP conduit currently emits.
+	// Only the UDP conduit currently emits.
 	Events *obs.Bus
 }
 
@@ -307,7 +273,7 @@ func (c Config) normalized() (Config, error) {
 	case SMP, PSHM, UDP:
 		c.RanksPerNode = c.Ranks
 		if c.Conduit == UDP {
-			if c.Fault == nil && !c.UDPUnreliable {
+			if c.Fault == nil {
 				f, err := faultFromEnv()
 				if err != nil {
 					return c, err
@@ -390,8 +356,6 @@ func (c Config) normalized() (Config, error) {
 	}
 	if c.Conduit != UDP {
 		c.Fault = nil
-		c.UDPUnreliable = false
-		c.UDPNoMmsg = false
 	}
 	return c, nil
 }

@@ -2,6 +2,7 @@ package gasnet
 
 import (
 	"fmt"
+	"net"
 	"runtime"
 	"sync/atomic"
 	"time"
@@ -39,8 +40,8 @@ type Domain struct {
 	coalescedMsgs    atomic.Int64
 
 	// Batched-syscall instrumentation (see Stats, mmsg_linux.go). Counted
-	// only by the real mmsg path, so the fallback's zeros make the active
-	// datapath observable.
+	// only by the real mmsg path, so the portable fallback's zeros make
+	// the active datapath observable.
 	sendmmsgCalls   atomic.Int64
 	recvmmsgCalls   atomic.Int64
 	sendBatchFrames atomic.Int64
@@ -89,9 +90,9 @@ type Domain struct {
 
 	// Wire-boundary instrumentation (see Stats): in-memory deliveries that
 	// a UDP world silently short-circuited, wire requests refused for an
-	// out-of-segment address, datagram send syscalls that failed in a
-	// multiproc world (treated as loss), and gptr decodes rejected by the
-	// runtime layer's bounds validation (NoteGptrReject).
+	// out-of-segment address, datagram send syscalls that failed (treated
+	// as loss), and gptr decodes rejected by the runtime layer's bounds
+	// validation (NoteGptrReject).
 	inMemFallbacks atomic.Int64
 	badAddrDrops   atomic.Int64
 	sendErrors     atomic.Int64
@@ -103,10 +104,12 @@ type Domain struct {
 	// bytes a notify-put carried.
 	notifyHook func(ep *Endpoint, id uint32, args []byte)
 
-	// udp is the socket transport, present only on the UDP conduit; rel is
-	// its reliability layer, absent under Config.UDPUnreliable; lv is the
-	// peer-failure detector riding rel's ticker, absent under
-	// Config.DisableLiveness.
+	// udp is the socket transport, rel its reliability layer, lv the
+	// peer-failure detector riding rel's ticker. Invariant: on the UDP
+	// conduit all three are non-nil (initUDP builds them together), on
+	// every other conduit all three are nil — so code reachable only on
+	// UDP uses them unguarded, and code reachable on any conduit tests
+	// one of them.
 	udp *udpTransport
 	rel *reliability
 	lv  *liveness
@@ -207,8 +210,8 @@ type Stats struct {
 	// RecvBatchFrames count the datagrams they moved, so frames-per-call
 	// is derivable; the HighWater fields record the largest single call
 	// each way. All six stay zero on the sequential fallback path
-	// (non-Linux, Config.UDPNoMmsg), making the active datapath — and the
-	// syscall amortization itself — assertable: a coalesced burst of N
+	// (non-Linux), making the active datapath — and the syscall
+	// amortization itself — assertable: a coalesced burst of N
 	// frames to distinct destinations is N datagrams but one
 	// SendmmsgCall.
 	SendmmsgCalls      int64
@@ -337,11 +340,9 @@ type Stats struct {
 	// receives an addressing-error reply (ErrBadAddress), never a panic:
 	// wire input is untrusted.
 	BadAddrDrops int64
-	// SendErrors counts datagram writes that failed at the socket in a
-	// multiproc world and were treated as wire loss (the reliability layer
-	// repairs or, persisting, declares the peer down). In-process worlds
-	// still panic on send errors — there a failed loopback write is a
-	// program bug, not weather.
+	// SendErrors counts datagram writes that failed at the socket and were
+	// treated as wire loss (the reliability layer repairs or, persisting,
+	// declares the peer down).
 	SendErrors int64
 	// GptrRejects counts wire-encoded global pointers the runtime layer
 	// refused to decode (bad rank, foreign segment id, out-of-segment
@@ -456,6 +457,13 @@ func (d *Domain) SetNotifyHook(fn func(ep *Endpoint, id uint32, args []byte)) { 
 // endpoint per rank, with the internal RMA/atomic protocol handlers
 // installed.
 func NewDomain(cfg Config) (*Domain, error) {
+	return newDomain(cfg, newBatchConn)
+}
+
+// newDomain is NewDomain with the UDP socket adapter injectable: the
+// package's tests pass the portable seqConn to run the non-Linux datapath
+// end to end on Linux.
+func newDomain(cfg Config, newConn func(*net.UDPConn, *Domain) batchConn) (*Domain, error) {
 	cfg, err := cfg.normalized()
 	if err != nil {
 		return nil, err
@@ -494,7 +502,7 @@ func NewDomain(cfg Config) (*Domain, error) {
 	// a fresh value (drains keep it fresh from then on).
 	clockRefresh()
 	if cfg.Conduit == UDP {
-		if err := d.initUDP(); err != nil {
+		if err := d.initUDP(newConn); err != nil {
 			return nil, err
 		}
 	}

@@ -233,10 +233,14 @@ func TestWindowGrowEvent(t *testing.T) {
 	defer d.Close()
 
 	// Pull the window one below the ceiling so the next clean ack crosses
-	// the recovery boundary.
+	// the recovery boundary — and the RTO to its ceiling, so a scheduling
+	// stall under the race detector cannot expire the 5 ms initial RTO
+	// first (an expiry halves the window and the sample is no longer
+	// clean: the test failed ~3 % of -race runs that way).
 	p := d.rel.pair(0, 1)
 	p.mu.Lock()
 	p.cwnd = d.rel.window - 1
+	p.rto = relRTOMax
 	p.mu.Unlock()
 
 	ep0, ep1 := d.Endpoint(0), d.Endpoint(1)

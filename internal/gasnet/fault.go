@@ -471,9 +471,6 @@ func (f *faultConn) WriteBatch(frames []batchFrame) error {
 // it, and only when a pair override or partition needs the destination.
 func (d *Domain) rankOfAddr(addr netip.AddrPort) int {
 	tr := d.udp
-	if tr == nil {
-		return -1
-	}
 	for r := range tr.addrs {
 		if p := tr.addrs[r].Load(); p != nil && *p == addr {
 			return r
@@ -622,9 +619,6 @@ func (d *Domain) HealPartition() error {
 // healNetwork is the scenario engine's heal directive: partition lifted
 // AND pair overrides cleared on every locally-hosted sender.
 func (d *Domain) healNetwork() {
-	if d.udp == nil {
-		return
-	}
 	for from := range d.udp.send {
 		if fc, ok := d.udp.send[from].(*faultConn); ok && fc != nil {
 			fc.setBlocked(nil)
@@ -640,9 +634,6 @@ func (d *Domain) healNetwork() {
 func (d *Domain) faultTick(now int64) {
 	if s := d.scen.Load(); s != nil {
 		s.step(now)
-	}
-	if d.udp == nil {
-		return
 	}
 	for _, pc := range d.udp.send {
 		if fc, ok := pc.(*faultConn); ok && fc != nil {

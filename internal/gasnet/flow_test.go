@@ -357,7 +357,7 @@ func forgeSeqFrame(d *Domain, seq uint32, payload []byte) *wireBuf {
 	wire = appendMsg(wire, &m)
 	wb.b = wire
 	wb.b[0] = frameSeq
-	wb.b[1], wb.b[2] = 0, 0 // from rank 0
+	wb.b[1], wb.b[2] = 0, 0  // from rank 0
 	putU32(wb.b[3:7], d.inc) // live incarnation: the stale filter must pass it
 	putU32(wb.b[7:11], seq)
 	putU32(wb.b[11:15], 0)

@@ -5,6 +5,18 @@ import (
 	"testing"
 )
 
+// seqHdr builds a sequenced frame's fixed prefix, as trySeal stamps it;
+// the inner frame is appended by the caller.
+func seqHdr(from uint16, inc, seq, ack uint32) []byte {
+	b := make([]byte, relHeaderLen)
+	b[0] = frameSeq
+	binary.LittleEndian.PutUint16(b[1:3], from)
+	binary.LittleEndian.PutUint32(b[3:7], inc)
+	binary.LittleEndian.PutUint32(b[7:11], seq)
+	binary.LittleEndian.PutUint32(b[11:15], ack)
+	return b
+}
+
 // FuzzDecodeMsg: arbitrary datagrams must either decode or error, never
 // panic — the UDP conduit's reader trusts decodeMsg with kernel-delivered
 // bytes.
@@ -28,8 +40,11 @@ func FuzzDecodeMsg(f *testing.F) {
 
 // FuzzDecodeDatagram: arbitrary whole datagrams — any framing tag,
 // sequenced or not, truncated anywhere — must be parsed to completion or
-// rejected with an error, never panic. This is the exact code path the UDP
-// reader goroutine runs on kernel-delivered bytes.
+// rejected with an error, never panic. This is the frame walk the UDP
+// reader goroutine runs on the inner frame of a sequenced datagram; the
+// reader drops a bare frameSingle/frameBatch before parsing it
+// (FuzzDecodeFrameSeq asserts that), but the walk is fuzzed on bare
+// frames too, since the inner bytes are the same untrusted input.
 func FuzzDecodeDatagram(f *testing.F) {
 	m := Msg{Handler: HandlerUserBase, From: 0, A0: 42, Payload: []byte("fuzz")}
 
@@ -44,11 +59,12 @@ func FuzzDecodeDatagram(f *testing.F) {
 	}
 	f.Add(append([]byte(nil), batch...))
 
-	seq := make([]byte, relHeaderLen)
-	seq[0] = frameSeq
-	seq[3] = 1 // incarnation = 1
-	seq[7] = 1 // seq = 1
-	f.Add(append(seq, single...))
+	f.Add(append(seqHdr(0, 1, 1, 0), single...))
+
+	// Bare frames with nothing behind the tag, and an empty bare batch.
+	f.Add([]byte{frameSingle})
+	f.Add([]byte{frameBatch})
+	f.Add([]byte{frameBatch, 0, 0})
 
 	f.Add([]byte{})
 	f.Add([]byte{0xEE, 1, 2, 3})              // unknown tag
@@ -83,28 +99,22 @@ func FuzzDecodeDatagram(f *testing.F) {
 // inner frame walk, including truncated and overlapping batch payloads.
 // The contract under fuzz is counted-drop-never-panic: malformed input
 // increments DecodeErrors (or one of the drop counters) and the domain
-// keeps running. Handlers are neutralized so forged internal-protocol
-// messages (puts with hostile offsets) exercise the transport, not the
-// segment bounds checks.
+// keeps running — and a bare (unsequenced) frameSingle/frameBatch is one
+// counted drop that dispatches nothing. Handlers are neutralized so
+// forged internal-protocol messages (puts with hostile offsets) exercise
+// the transport, not the segment bounds checks.
 func FuzzDecodeFrameSeq(f *testing.F) {
 	d := newTestDomain(f, Config{Ranks: 2, Conduit: UDP})
 	defer d.Close()
+	dispatched := 0
 	for i := range d.handlers {
-		d.handlers[i] = func(*Endpoint, *Msg) {}
+		d.handlers[i] = func(*Endpoint, *Msg) { dispatched++ }
 	}
 	ep1 := d.Endpoint(1)
 
 	m := Msg{Handler: HandlerUserBase, From: 0, A0: 7, Payload: []byte("seq")}
 	inner := append([]byte{frameSingle}, encodeMsg(nil, &m)...)
-	hdr := func(from uint16, inc, seq, ack uint32) []byte {
-		b := make([]byte, relHeaderLen)
-		b[0] = frameSeq
-		binary.LittleEndian.PutUint16(b[1:3], from)
-		binary.LittleEndian.PutUint32(b[3:7], inc)
-		binary.LittleEndian.PutUint32(b[7:11], seq)
-		binary.LittleEndian.PutUint32(b[11:15], ack)
-		return b
-	}
+	hdr := seqHdr
 	// Well-formed in-order frame, a future (parked) frame, a duplicate, a
 	// forged out-of-window sequence, and a standalone ack. The in-process
 	// domain's incarnation is 1 (epoch 0 normalizes to 1).
@@ -154,7 +164,9 @@ func FuzzDecodeFrameSeq(f *testing.F) {
 	f.Add([]byte{frameProbe, 0, 0, 1, 0, 0, 0, 0xEE})
 	f.Add([]byte{frameProbe, 0, 0})
 	f.Add([]byte{frameProbe})
+	// Bare payload frames: nobody legitimately sends one.
 	f.Add(inner)
+	f.Add(append([]byte{frameBatch, 1, 0, byte(len(enc)), 0, 0, 0}, enc...))
 	f.Add([]byte{})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -162,6 +174,7 @@ func FuzzDecodeFrameSeq(f *testing.F) {
 			data = data[:bufClassLarge]
 		}
 		before := d.Stats()
+		ran := dispatched
 		wb := d.arena.get(bufClassLarge)
 		wb.b = append(wb.b[:0], data...)
 		d.receiveDatagram(ep1, wb)
@@ -170,6 +183,11 @@ func FuzzDecodeFrameSeq(f *testing.F) {
 		after := d.Stats()
 		if after.DecodeErrors < before.DecodeErrors {
 			t.Fatal("DecodeErrors went backwards")
+		}
+		if len(data) > 0 && (data[0] == frameSingle || data[0] == frameBatch) &&
+			(dispatched != ran || after.DecodeErrors != before.DecodeErrors+1) {
+			t.Fatalf("bare frame: %d dispatched, %d decode errors; want 0 and 1",
+				dispatched-ran, after.DecodeErrors-before.DecodeErrors)
 		}
 	})
 }

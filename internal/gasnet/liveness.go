@@ -71,7 +71,7 @@ const (
 const probeGapMax = 16
 
 // liveness is the per-domain peer-failure detector, present only on the
-// reliable UDP conduit. Detection is pairwise and one-directional: rank
+// UDP conduit. Detection is pairwise and one-directional: rank
 // local tracks what it has heard from rank peer, so an asymmetric fault
 // (one rank's sends all dropped) is observed by everyone else while the
 // faulty rank still sees its peers as alive.
@@ -163,12 +163,6 @@ type liveness struct {
 	probeGap  []atomic.Int32
 	probeNext []atomic.Int64
 
-	// healOff (Config.DisableHealing) restores terminal Down for
-	// silence-driven deaths: no probes are sent and incoming probes are
-	// ignored (no acks either, so both sides of a partition converge to
-	// sticky Down symmetrically).
-	healOff bool
-
 	// mmu serializes readmit: join frames can arrive on the socket reader
 	// while the ticker is sweeping the same pair, and readmission is a
 	// multi-step transition (down-mark, pair reset, incarnation adopt)
@@ -180,10 +174,6 @@ type liveness struct {
 	// round until every live peer has acked new-incarnation traffic.
 	// Ticker-goroutine-local after construction.
 	rejoin bool
-
-	// readmitOff (Config.DisableReadmission) restores sticky-Down: join
-	// frames are ignored and a dead peer stays dead.
-	readmitOff bool
 
 	// joinFrame is the prebuilt announcement ([frameJoin][rank u16]
 	// [incarnation u32][addr len u8][addr]); built once at construction
@@ -211,8 +201,6 @@ func newLiveness(d *Domain, now int64) *liveness {
 		downCause:     make([]atomic.Int32, d.cfg.Ranks*d.cfg.Ranks),
 		probeGap:      make([]atomic.Int32, d.cfg.Ranks*d.cfg.Ranks),
 		probeNext:     make([]atomic.Int64, d.cfg.Ranks*d.cfg.Ranks),
-		readmitOff:    d.cfg.DisableReadmission,
-		healOff:       d.cfg.DisableHealing,
 	}
 	if lv.downRounds <= lv.suspectRounds {
 		lv.downRounds = lv.suspectRounds + 1
@@ -384,7 +372,7 @@ func (lv *liveness) markSuspect(local, peer int) {
 // the new generation. Callable from any goroutine.
 //
 // The cause decides what happens to the reliability pair. A terminal
-// death (causeBye, or healing disabled) releases it — in-flight buffers
+// death (causeBye) releases it — in-flight buffers
 // return to the pool, the stream is gone. A healable death (causeNet)
 // PARKS it instead: in-flight frames keep their sequence numbers and
 // wait out the partition, because releasing them would leave permanent
@@ -411,18 +399,13 @@ func (lv *liveness) markDown(local, peer int, cause int32) {
 	lv.d.emit(obs.EvPeerDown, local, peer, 0, 0)
 	lv.epoch[local].Add(1)
 	lv.downCause[i].Store(cause)
-	healable := cause == causeNet && !lv.healOff
-	if r := lv.d.rel; r != nil {
-		if healable {
-			r.parkPair(local, peer)
-		} else {
-			r.releasePair(local, peer)
-		}
-	}
-	if healable {
+	if cause == causeNet {
+		lv.d.rel.parkPair(local, peer)
 		lv.probeGap[i].Store(1)
 		lv.probeNext[i].Store(lv.round.Load() + 1)
 		lv.d.emit(obs.EvPartitionSuspected, local, peer, 0, 0)
+	} else {
+		lv.d.rel.releasePair(local, peer)
 	}
 	// Wake the rank so a parked waiter re-polls and observes the epoch
 	// change promptly instead of waiting out parkTimeout.
@@ -446,9 +429,7 @@ func (lv *liveness) heal(local, peer int) {
 	if lv.state[i].Load() != peerDown || lv.downCause[i].Load() != causeNet {
 		return
 	}
-	if r := lv.d.rel; r != nil {
-		r.healPair(local, peer)
-	}
+	lv.d.rel.healPair(local, peer)
 	lv.downCause[i].Store(causeNone)
 	lv.heardRound[i].Store(lv.round.Load())
 	lv.staleEv[i].Store(false)
@@ -468,7 +449,7 @@ func (lv *liveness) heal(local, peer int) {
 // of life; that is the asymmetric case — B downed A, A still sees B — in
 // which A's acks let B heal and the views reconverge.
 func (lv *liveness) handleProbe(local, peer int, inc uint32, kind byte) {
-	if lv.healOff || peer < 0 || peer >= lv.ranks || peer == local || inc == 0 {
+	if peer < 0 || peer >= lv.ranks || peer == local || inc == 0 {
 		return
 	}
 	i := lv.idx(local, peer)
@@ -538,9 +519,7 @@ func (lv *liveness) tick(now int64) {
 			}
 		}
 	}
-	if !lv.healOff {
-		lv.sendProbes(round)
-	}
+	lv.sendProbes(round)
 }
 
 // hbFrameLen is the heartbeat frame:
@@ -636,14 +615,12 @@ func (lv *liveness) sendJoins() {
 		if to == self || lv.down(self, to) {
 			continue
 		}
-		if r := lv.d.rel; r != nil {
-			p := r.pair(self, to)
-			p.mu.Lock()
-			acked := p.sendAcked
-			p.mu.Unlock()
-			if acked > 0 {
-				continue // the peer acked new-incarnation traffic: readmitted
-			}
+		p := lv.d.rel.pair(self, to)
+		p.mu.Lock()
+		acked := p.sendAcked
+		p.mu.Unlock()
+		if acked > 0 {
+			continue // the peer acked new-incarnation traffic: readmitted
 		}
 		pending = true
 		lv.d.joinsSent.Add(1)
@@ -661,7 +638,7 @@ func (lv *liveness) sendJoins() {
 // process's last frames draining out; anything newer — or a first
 // contact — goes through readmit.
 func (lv *liveness) handleJoin(local, peer int, inc uint32, addr netip.AddrPort) {
-	if lv.readmitOff || peer < 0 || peer >= lv.ranks || peer == local || inc == 0 {
+	if peer < 0 || peer >= lv.ranks || peer == local || inc == 0 {
 		return
 	}
 	rec := lv.peerInc[lv.idx(local, peer)].Load()
@@ -702,11 +679,11 @@ func (lv *liveness) readmit(local, peer int, inc uint32, addr netip.AddrPort) {
 		lv.markDown(local, peer, causeBye)
 		wasDown = true
 	}
-	if lv.d.udp != nil && addr.IsValid() {
+	if addr.IsValid() {
 		lv.d.udp.setAddr(peer, addr)
 	}
-	if r := lv.d.rel; r != nil && (hadOld || wasDown) {
-		r.resetPair(local, peer)
+	if hadOld || wasDown {
+		lv.d.rel.resetPair(local, peer)
 	}
 	lv.peerInc[i].Store(inc)
 	lv.heardRound[i].Store(lv.round.Load())

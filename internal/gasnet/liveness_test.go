@@ -140,11 +140,8 @@ func TestLivenessConfigValidation(t *testing.T) {
 	if _, err := NewDomain(Config{Ranks: 2, Conduit: UDP, RelMaxAttempts: -1}); err == nil {
 		t.Error("negative RelMaxAttempts accepted")
 	}
-	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, DisableLiveness: true})
+	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP})
 	defer d.Close()
-	if d.Endpoint(0).PeerDown(1) || d.Endpoint(0).AnyPeerDown() {
-		t.Error("liveness state exists despite DisableLiveness")
-	}
 	// The fault shim is always interposed: arming faults mid-run needs no
 	// construction-time Config.Fault.
 	if err := d.SetFault(0, FaultConfig{Drop: 0.5}); err != nil {

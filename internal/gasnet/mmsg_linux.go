@@ -24,9 +24,8 @@ import (
 // Only the real mmsg path bumps the Domain's Sendmmsg*/Recvmmsg*
 // counters, so tests (and operators) can assert which datapath is live.
 
-// mmsgAvailable reports whether this build uses the vectorized path
-// (subject to Config.UDPNoMmsg). Tests gate syscall-count assertions on
-// it.
+// mmsgAvailable reports whether this build uses the vectorized path.
+// Tests gate syscall-count assertions on it.
 const mmsgAvailable = true
 
 // mmsghdr mirrors the kernel's struct mmsghdr: a msghdr plus the
@@ -58,12 +57,8 @@ type mmsgConn struct {
 }
 
 // newBatchConn wraps conn in the vectorized adapter, or the sequential
-// fallback when Config.UDPNoMmsg asks for it (or the raw fd is
-// unavailable).
+// fallback when the raw fd is unavailable.
 func newBatchConn(conn *net.UDPConn, d *Domain) batchConn {
-	if d.cfg.UDPNoMmsg {
-		return seqConn{conn}
-	}
 	rc, err := conn.SyscallConn()
 	if err != nil {
 		return seqConn{conn}

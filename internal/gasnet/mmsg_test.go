@@ -1,6 +1,7 @@
 package gasnet
 
 import (
+	"net"
 	"net/netip"
 	"testing"
 	"time"
@@ -76,11 +77,16 @@ func TestBatchSyscallAmortization(t *testing.T) {
 	}
 }
 
-// TestBatchFallbackSequential: Config.UDPNoMmsg forces the portable
-// one-at-a-time adapter behind the same interface — traffic still flows,
-// and the mmsg counters stay zero, proving which datapath served it.
+// TestBatchFallbackSequential runs the portable one-at-a-time adapter —
+// the only datapath off Linux — behind the same interface, through the
+// newDomain seam: traffic still flows, and the mmsg counters stay zero,
+// proving which datapath served it.
 func TestBatchFallbackSequential(t *testing.T) {
-	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, UDPNoMmsg: true})
+	d, err := newDomain(Config{Ranks: 2, Conduit: UDP},
+		func(c *net.UDPConn, _ *Domain) batchConn { return seqConn{c} })
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer d.Close()
 	received := 0
 	d.RegisterHandler(HandlerUserBase, func(*Endpoint, *Msg) { received++ })
@@ -229,20 +235,23 @@ func TestFaultConnWriteBatch(t *testing.T) {
 }
 
 // TestBatchDeliveryCorruptFrame drives a multi-frame vectorized write
-// containing a corrupt datagram through real sockets: the valid frames
-// must be delivered, the corrupt one counted and dropped — the
-// kernel-facing half of the FuzzDecodeDatagram contract, now under
-// recvmmsg delivery.
+// containing a corrupt datagram through real sockets: the valid
+// (sequenced) frames must be delivered, the corrupt one counted and
+// dropped — the kernel-facing half of the FuzzDecodeDatagram contract,
+// now under recvmmsg delivery. The explicit zero Fault shields the
+// hand-written frames from a suite-wide loss preset: they bypass the
+// retransmission queue, so a drop would be final.
 func TestBatchDeliveryCorruptFrame(t *testing.T) {
-	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, UDPUnreliable: true})
+	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, Fault: &FaultConfig{}})
 	defer d.Close()
 	var got []uint64
 	d.RegisterHandler(HandlerUserBase, func(_ *Endpoint, m *Msg) { got = append(got, m.A0) })
 	ep1 := d.Endpoint(1)
 
-	valid := func(a0 uint64) []byte {
-		m := Msg{Handler: HandlerUserBase, From: 0, A0: a0}
-		return append([]byte{frameSingle}, encodeMsg(nil, &m)...)
+	// valid is rank 0's seq-th sequenced frame, as trySeal would stamp it.
+	valid := func(seq uint32) []byte {
+		m := Msg{Handler: HandlerUserBase, From: 0, A0: uint64(seq)}
+		return appendMsg(append(seqHdr(0, d.inc, seq, 0), frameSingle), &m)
 	}
 	frames := []batchFrame{
 		{b: valid(1), addr: d.udp.addrOf(1)},

@@ -47,20 +47,20 @@ func TestScenarioParse(t *testing.T) {
 	bad := []string{
 		"",
 		"   ;  ",
-		"heal",                        // missing at=
-		"at=2s heal; at=1s heal",      // decreasing times
-		"at=-1s heal",                 // negative time
-		"at=1s",                       // no directives
-		"at=1s frobnicate",            // unknown directive
-		"at=1s partition=",            // no groups
-		"at=1s partition=0|9",         // rank out of range
-		"at=1s partition=0|x",         // non-numeric rank
-		"at=1s fault=drop=2",          // invalid probability
-		"at=1s fault@0>9=drop=1",      // bad destination
-		"at=1s fault@01=drop=1",       // missing '>'
-		"at=1s latency=-5ms",          // negative duration
-		"at=1s jitter=fast",           // unparseable duration
-		"at=bogus heal",               // unparseable time
+		"heal",                   // missing at=
+		"at=2s heal; at=1s heal", // decreasing times
+		"at=-1s heal",            // negative time
+		"at=1s",                  // no directives
+		"at=1s frobnicate",       // unknown directive
+		"at=1s partition=",       // no groups
+		"at=1s partition=0|9",    // rank out of range
+		"at=1s partition=0|x",    // non-numeric rank
+		"at=1s fault=drop=2",     // invalid probability
+		"at=1s fault@0>9=drop=1", // bad destination
+		"at=1s fault@01=drop=1",  // missing '>'
+		"at=1s latency=-5ms",     // negative duration
+		"at=1s jitter=fast",      // unparseable duration
+		"at=bogus heal",          // unparseable time
 	}
 	for _, spec := range bad {
 		if _, err := parseScenario(spec, 4); err == nil {
@@ -268,43 +268,6 @@ func TestPartitionHealViaScenario(t *testing.T) {
 	}
 	if s.PeersReadmitted != 0 {
 		t.Errorf("PeersReadmitted = %d, want 0", s.PeersReadmitted)
-	}
-}
-
-// TestDisableHealingTerminalDown: the kill switch restores the old
-// contract — silence-driven Down is terminal, no probes ship, and a
-// healed network changes nothing.
-func TestDisableHealingTerminalDown(t *testing.T) {
-	clearNetEnv(t)
-	cfg := fastHBConfig()
-	cfg.DisableHealing = true
-	d := newTestDomain(t, cfg)
-	defer d.Close()
-	ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
-
-	if err := d.SetPartition([][]int{{0}, {1}}); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(10 * time.Second)
-	for !(ep0.PeerDown(1) && ep1.PeerDown(0)) && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if !ep0.PeerDown(1) || !ep1.PeerDown(0) {
-		t.Fatal("partitioned peers never declared down")
-	}
-	if err := d.HealPartition(); err != nil {
-		t.Fatal(err)
-	}
-	time.Sleep(200 * time.Millisecond) // many DownAfter periods on a healed wire
-	if !ep0.PeerDown(1) || !ep1.PeerDown(0) {
-		t.Error("peer healed despite DisableHealing")
-	}
-	s := d.Stats()
-	if s.PeersHealed != 0 {
-		t.Errorf("PeersHealed = %d with DisableHealing, want 0", s.PeersHealed)
-	}
-	if s.ProbesSent != 0 {
-		t.Errorf("ProbesSent = %d with DisableHealing, want 0", s.ProbesSent)
 	}
 }
 

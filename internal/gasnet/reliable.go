@@ -14,10 +14,9 @@ import (
 // The reliability layer gives the UDP conduit the delivery guarantees the
 // rest of the runtime assumes, the way GASNet-EX's UDP conduit implements
 // its own acks, retransmission, and duplicate suppression on top of raw
-// datagrams. Without it, the conduit is only sound on a lossless, ordered
-// loopback; with it, datagrams may be dropped, duplicated, or reordered
-// (see fault.go) and every active message is still delivered exactly once,
-// in per-peer FIFO order.
+// datagrams: datagrams may be dropped, duplicated, or reordered (see
+// fault.go) and every active message is still delivered exactly once, in
+// per-peer FIFO order.
 //
 // Wire format: every payload datagram is wrapped in a sequenced frame
 //
@@ -59,8 +58,7 @@ import (
 // (Config.RelMaxAttempts, default relMaxAttempts) declares the
 // destination down via the liveness detector (liveness.go): its queue is
 // released, its pending operations fail with ErrPeerUnreachable, and the
-// job keeps running. Under Config.DisableLiveness the budget instead
-// aborts the job, as GASNet's UDP conduit does on requester timeout.
+// job keeps running.
 //
 // Receiver side, per pair: the next-expected frame is delivered
 // immediately and drains any buffered successors; frames at or below the
@@ -120,8 +118,8 @@ const (
 	// credit before giving up with ErrBackpressure.
 	relBPWait = 2 * time.Second
 
-	// relMaxAttempts retransmissions without an ack abort the job: the
-	// peer is dead or the network is partitioned, and blocking forever
+	// relMaxAttempts retransmissions without an ack declare the peer
+	// down: it is dead or the network is partitioned, and retrying forever
 	// would hide it.
 	relMaxAttempts = 64
 
@@ -214,7 +212,8 @@ type relPair struct {
 }
 
 // reliability is the per-domain instance: the pair grid plus the ticker
-// goroutine that drives retransmissions and overdue standalone acks.
+// goroutine (run, started by initUDP) that drives retransmissions and
+// overdue standalone acks.
 type reliability struct {
 	d     *Domain
 	ranks int
@@ -236,8 +235,7 @@ type reliability struct {
 	bpFailFast    bool
 	bpWait        time.Duration
 
-	// lv is the liveness detector driven by this layer's ticker; nil when
-	// Config.DisableLiveness is set, restoring abort-on-exhaustion.
+	// lv is the liveness detector driven by this layer's ticker.
 	lv *liveness
 
 	closed   atomic.Bool
@@ -254,7 +252,7 @@ func newReliability(d *Domain) *reliability {
 		pairs:       make([]relPair, d.cfg.Ranks*d.cfg.Ranks),
 		window:      d.cfg.RelWindow,
 		maxAttempts: d.cfg.RelMaxAttempts,
-		lv:          d.lv, // constructed first (initUDP); nil if disabled
+		lv:          d.lv, // constructed first (initUDP)
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -293,7 +291,6 @@ func newReliability(d *Domain) *reliability {
 		p.rto = relRTO
 		p.ackDelay = relAckDelay
 	}
-	go r.run()
 	return r
 }
 
@@ -352,7 +349,12 @@ func (r *reliability) send(from, to int, wb *wireBuf) {
 			time.Sleep(50 * time.Microsecond)
 		}
 	}
-	r.d.writeDatagram(from, to, wb.b)
+	// DatagramsSent counts first transmissions only (here and in
+	// writeBatch): retransmissions and standalone acks keep their own
+	// counters, so it stays the coalescing cost model — datagrams the
+	// protocol decided to send — rather than a wire-traffic tally.
+	r.d.datagramsSent.Add(1)
+	r.d.writeFrame(from, to, wb.b)
 }
 
 // trySeal attempts the non-writing half of send: stamp wb with the next
@@ -455,19 +457,17 @@ func (r *reliability) receive(ep *Endpoint, wb *wireBuf) {
 		wb.release()
 		return
 	}
-	if r.lv != nil {
-		// Incarnation gate before ANY processing: a frame from a dead
-		// incarnation of the sender must not refresh liveness, complete
-		// acks, or deliver — its process is gone and its streams were
-		// reset (or will be, on readmission).
-		if !r.lv.checkInc(ep.rank, int(from), inc) {
-			wb.release()
-			return
-		}
-		// Any sequenced traffic is proof of life; heartbeats only carry
-		// the idle case.
-		r.lv.heard(ep.rank, int(from))
+	// Incarnation gate before ANY processing: a frame from a dead
+	// incarnation of the sender must not refresh liveness, complete acks,
+	// or deliver — its process is gone and its streams were reset (or will
+	// be, on readmission).
+	if !r.lv.checkInc(ep.rank, int(from), inc) {
+		wb.release()
+		return
 	}
+	// Any sequenced traffic is proof of life; heartbeats only carry the
+	// idle case.
+	r.lv.heard(ep.rank, int(from))
 	p := r.pair(ep.rank, int(from))
 	var ackNow bool
 	var ackVal uint32
@@ -684,9 +684,7 @@ func (r *reliability) run() {
 		case <-t.C:
 			now := clockRefresh()
 			r.sweep(now)
-			if r.lv != nil {
-				r.lv.tick(now)
-			}
+			r.lv.tick(now)
 			// Network-model housekeeping: scenario phases and delayed
 			// (latency-injected) datagrams run off the same tick.
 			r.d.faultTick(now)
@@ -730,16 +728,10 @@ func (r *reliability) sweep(now int64) {
 				expired = true
 				e.attempts++
 				if e.attempts > r.maxAttempts {
-					if r.lv == nil {
-						p.mu.Unlock()
-						panic(fmt.Sprintf(
-							"gasnet: reliable UDP: rank %d got no ack from rank %d for seq %d after %d retransmits (peer dead or network partitioned)",
-							from, to, e.seq, r.maxAttempts))
-					}
 					// Budget spent: the peer is dead or partitioned.
-					// Declare it down instead of aborting — pending
-					// operations fail with ErrPeerUnreachable through the
-					// liveness sweep, and the job decides what to do.
+					// Declare it down — pending operations fail with
+					// ErrPeerUnreachable through the liveness sweep, and
+					// the job decides what to do.
 					exhausted = true
 					exhaustedSeq = e.seq
 					break
@@ -783,7 +775,7 @@ func (r *reliability) sweep(now int64) {
 				r.lv.markDown(from, to, causeNet) // parks or drains the queue
 				continue
 			}
-			if shedBurst && r.lv != nil {
+			if shedBurst {
 				// The receive half of pair (from, to) is the to→from
 				// stream: rank `from` is being flooded by rank `to`
 				// faster than it can deliver. That is a health signal

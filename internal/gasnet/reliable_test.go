@@ -243,7 +243,7 @@ func TestReliableOutOfWindowDrop(t *testing.T) {
 	wire = appendMsg(wire, &m)
 	wb.b = wire
 	wb.b[0] = frameSeq
-	wb.b[1], wb.b[2] = 0, 0 // from rank 0
+	wb.b[1], wb.b[2] = 0, 0  // from rank 0
 	putU32(wb.b[3:7], d.inc) // current incarnation: past the stale filter
 	putU32(wb.b[7:11], relWindow+12345)
 	putU32(wb.b[11:15], 0)

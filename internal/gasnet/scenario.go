@@ -28,8 +28,7 @@ import (
 // GUPCXX_UDP_FAULT syntax ("drop=0.25,dup=0.05,seed=7"); phase times must
 // be nondecreasing. The clock starts when the domain arms the scenario
 // (inside NewDomain for the env var, at the StartScenario call otherwise).
-// Events fire from the reliability ticker, so a scenario needs the
-// sequenced conduit (UDPUnreliable worlds never tick it).
+// Events fire from the reliability ticker.
 
 // scenarioEnvVar names the environment variable consulted by UDP-conduit
 // domains at construction; a non-empty value arms the scenario it

@@ -35,11 +35,12 @@ import (
 //
 //	[frameBatch u8] [count u16 LE] count × { [len u32 LE] [encodeMsg bytes] }
 //
-// frameSeq wraps either of the above in the reliability layer's sequenced
-// header (see reliable.go) — the default on this conduit; raw frames are
-// only emitted under Config.UDPUnreliable. The receiver unpacks a batch
-// into individual inbox messages that all share (and reference-count) the
-// datagram's pooled buffer.
+// Neither travels bare: frameSeq wraps each in the reliability layer's
+// sequenced header (see reliable.go), and a bare frameSingle/frameBatch
+// arriving on a socket is counted and dropped — it would bypass the
+// incarnation gate, duplicate suppression and sequencing. The receiver
+// unpacks a batch into individual inbox messages that all share (and
+// reference-count) the datagram's pooled buffer.
 //
 // The receive path never trusts the kernel-delivered bytes: truncated or
 // corrupt frames of any kind are counted (Stats.DecodeErrors) and dropped,
@@ -93,9 +94,9 @@ type batchFrame struct {
 // batchConn extends the send path's packetConn with the vectorized read
 // the conduit's reader goroutines use. Constructed per socket by
 // newBatchConn: sendmmsg/recvmmsg on capable Linux platforms, the
-// sequential seqConn elsewhere (and under Config.UDPNoMmsg). The fault
-// shim wraps only the write side — faults are send-side injection, so
-// the reader always consumes the unwrapped batchConn.
+// sequential seqConn elsewhere. The fault shim wraps only the write side
+// — faults are send-side injection, so the reader always consumes the
+// unwrapped batchConn.
 type batchConn interface {
 	packetConn
 	// ReadBatch fills views with up to len(views) datagrams, recording
@@ -161,57 +162,76 @@ func (tr *udpTransport) addrOf(to int) netip.AddrPort { return *tr.addrs[to].Loa
 // and again when a restarted peer announces its fresh socket.
 func (tr *udpTransport) setAddr(to int, a netip.AddrPort) { tr.addrs[to].Store(&a) }
 
-// initUDP binds one loopback socket per rank and starts its reader
-// goroutine, which decodes datagrams into the owning endpoint's inbox. In
-// a multiproc world only this process's rank gets a socket — the one the
-// bootstrap exchange already bound — and the peer table comes from the
-// configuration (initUDPMultiproc, multiproc.go).
-func (d *Domain) initUDP() error {
-	if d.cfg.Multiproc {
-		return d.initUDPMultiproc()
+// initUDP builds the socket transport for the ranks this process hosts,
+// then the failure detector and the reliability layer, then starts one
+// reader goroutine per hosted socket. An in-process world hosts every rank
+// and binds a fresh loopback socket for each; a multiproc world hosts only
+// Self, on the socket the bootstrap exchange (internal/boot) bound before
+// publishing its address, and learns every rank's address from
+// Config.Peers. Everything above the socket is the same in both — what a
+// multiproc world changes is the locality model (Config.NodeOf). The
+// rank-indexed slices keep their full length either way, since the send
+// path indexes them by rank: a send "from" a rank hosted elsewhere is a
+// bug the nil dereference makes loud. newConn picks the socket adapter
+// (newBatchConn outside tests).
+func (d *Domain) initUDP(newConn func(*net.UDPConn, *Domain) batchConn) error {
+	n := d.cfg.Ranks
+	tr := &udpTransport{
+		conns: make([]*net.UDPConn, n),
+		send:  make([]packetConn, n),
+		read:  make([]batchConn, n),
+		addrs: make([]atomic.Pointer[netip.AddrPort], n),
 	}
-	tr := &udpTransport{addrs: make([]atomic.Pointer[netip.AddrPort], d.cfg.Ranks)}
-	for r := 0; r < d.cfg.Ranks; r++ {
-		conn, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			tr.close()
-			return fmt.Errorf("gasnet: udp conduit: %w", err)
+	first, end := 0, n
+	if d.cfg.Multiproc {
+		first, end = d.cfg.Self, d.cfg.Self+1
+		for r, a := range d.cfg.Peers {
+			tr.setAddr(r, a)
 		}
+	}
+	var fault FaultConfig
+	if d.cfg.Fault != nil {
+		fault = *d.cfg.Fault
+	}
+	for r := first; r < end; r++ {
+		conn := d.cfg.SelfConn
+		if !d.cfg.Multiproc {
+			var err error
+			conn, err = net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+			if err != nil {
+				tr.close()
+				return fmt.Errorf("gasnet: udp conduit: %w", err)
+			}
+			tr.setAddr(r, conn.LocalAddr().(*net.UDPAddr).AddrPort())
+		}
+		tr.conns[r] = conn
 		// A generous receive buffer: collective fan-ins burst many small
-		// datagrams at one socket, and loopback UDP drops on overflow.
+		// datagrams at one socket — in a multiproc world the whole world's
+		// traffic toward this rank — and loopback UDP drops on overflow.
 		if err := conn.SetReadBuffer(4 << 20); err != nil && tr.rbufErr == nil {
 			tr.rbufErr = err
 			log.Printf("gasnet: udp conduit: SetReadBuffer(4MiB) failed (%v); "+
 				"bursty collectives may drop datagrams on this host", err)
 		}
-		tr.conns = append(tr.conns, conn)
-		bc := newBatchConn(conn, d)
+		bc := newConn(conn, d)
 		// The fault shim is ALWAYS interposed: idle it costs one atomic
 		// load per write, and it is what lets tests and scenarios arm
 		// faults, partitions, and latency mid-run (SetFault et al.).
-		var cfg FaultConfig
-		if d.cfg.Fault != nil {
-			cfg = *d.cfg.Fault
-		}
-		tr.send = append(tr.send, newFaultConn(bc, cfg, r, d))
-		tr.read = append(tr.read, bc)
-		tr.setAddr(r, conn.LocalAddr().(*net.UDPAddr).AddrPort())
+		tr.send[r] = newFaultConn(bc, fault, r, d)
+		tr.read[r] = bc
 	}
 	d.udp = tr
 	if err := d.armScenarioFromEnv(); err != nil {
 		tr.close()
 		return err
 	}
-	if !d.cfg.UDPUnreliable {
-		// The detector must exist before the reliability ticker starts
-		// (newReliability captures it), so exhaustion events observed on
-		// the very first sweep already have somewhere to go.
-		if !d.cfg.DisableLiveness {
-			d.lv = newLiveness(d, clockRefresh())
-		}
-		d.rel = newReliability(d)
-	}
-	for r := 0; r < d.cfg.Ranks; r++ {
+	// Both halves are in place before the ticker starts: its sweep reaches
+	// the detector (exhaustion → markDown) and the detector reaches back
+	// into the reliability layer (park/release/heal the pair).
+	d.lv = newLiveness(d, clockRefresh())
+	d.rel = newReliability(d)
+	go d.rel.run()
+	for r := first; r < end; r++ {
 		d.startReader(tr, d.eps[r], tr.read[r])
 	}
 	return nil
@@ -263,82 +283,80 @@ func (d *Domain) startReader(tr *udpTransport, ep *Endpoint, bc batchConn) {
 	}()
 }
 
-// receiveDatagram routes one received datagram (whose bytes are wb.b) to
-// the reliability layer or straight to frame delivery, taking ownership
-// of wb.
+// receiveDatagram routes one received datagram (whose bytes are wb.b) by
+// its frame tag, taking ownership of wb. Payload travels only inside
+// sequenced frames; the unsequenced control frames (heartbeat, bye, probe,
+// join) are handled here; anything else — a bare frameSingle/frameBatch
+// included, which would otherwise reach the inbox past the incarnation
+// gate, duplicate suppression and sequencing — is counted as a decode
+// error and dropped.
 func (d *Domain) receiveDatagram(ep *Endpoint, wb *wireBuf) {
-	if len(wb.b) >= 1 && wb.b[0] == frameSeq && d.rel != nil {
+	b := wb.b
+	if len(b) == 0 {
+		d.decodeErrors.Add(1)
+		wb.release()
+		return
+	}
+	if b[0] == frameSeq {
 		d.rel.receive(ep, wb)
 		return
 	}
-	if len(wb.b) >= 1 && wb.b[0] == frameHB {
+	// Every control frame shares the prefix [tag u8][from u16 LE]
+	// [incarnation u32 LE]; each case checks its own minimum length
+	// before using it.
+	var from int
+	var inc uint32
+	if len(b) >= hbFrameLen {
+		from = int(binary.LittleEndian.Uint16(b[1:3]))
+		inc = binary.LittleEndian.Uint32(b[3:7])
+	}
+	switch b[0] {
+	case frameHB:
 		// Heartbeats count as hearing from the peer only when they carry
 		// its current incarnation — a dead process's heartbeats lingering
 		// in a socket buffer must not keep its ghost alive (checkInc
 		// counts and drops them).
-		if d.lv != nil && len(wb.b) >= hbFrameLen {
-			from := int(binary.LittleEndian.Uint16(wb.b[1:3]))
-			inc := binary.LittleEndian.Uint32(wb.b[3:7])
-			if from < d.cfg.Ranks && d.lv.checkInc(ep.rank, from, inc) {
-				d.lv.heard(ep.rank, from)
-			}
+		if len(b) >= hbFrameLen && from < d.cfg.Ranks && d.lv.checkInc(ep.rank, from, inc) {
+			d.lv.heard(ep.rank, from)
 		}
-		wb.release()
-		return
-	}
-	if len(wb.b) >= 1 && wb.b[0] == frameBye {
+	case frameBye:
 		// A peer announced its graceful departure: declare it Down now
 		// instead of waiting out DownAfter of silence. Corrupt or
 		// self-referential frames are dropped — wire input is untrusted —
 		// and so is a bye stamped with a dead incarnation, which would
 		// otherwise bury the peer's restarted successor.
-		if d.lv != nil && len(wb.b) >= byeFrameLen {
-			from := int(binary.LittleEndian.Uint16(wb.b[1:3]))
-			inc := binary.LittleEndian.Uint32(wb.b[3:7])
-			if from < d.cfg.Ranks && from != ep.rank && d.lv.checkInc(ep.rank, from, inc) {
-				d.lv.markDown(ep.rank, from, causeBye)
-			}
+		if len(b) >= byeFrameLen && from < d.cfg.Ranks && from != ep.rank &&
+			d.lv.checkInc(ep.rank, from, inc) {
+			d.lv.markDown(ep.rank, from, causeBye)
 		}
-		wb.release()
-		return
-	}
-	if len(wb.b) >= 1 && wb.b[0] == frameProbe {
+	case frameProbe:
 		// A partition probe (or its ack): authentic same-incarnation
 		// traffic from a peer we may have declared dead. Deliberately NOT
 		// gated by checkInc — a Down peer's frames are exactly what a
 		// probe authenticates — handleProbe carries its own incarnation
 		// gate and heals or acks as appropriate.
-		if d.lv != nil && len(wb.b) >= probeFrameLen {
-			from := int(binary.LittleEndian.Uint16(wb.b[1:3]))
-			inc := binary.LittleEndian.Uint32(wb.b[3:7])
-			if from < d.cfg.Ranks {
-				d.lv.handleProbe(ep.rank, from, inc, wb.b[7])
-			}
+		if len(b) >= probeFrameLen && from < d.cfg.Ranks {
+			d.lv.handleProbe(ep.rank, from, inc, b[7])
 		}
-		wb.release()
-		return
-	}
-	if len(wb.b) >= 1 && wb.b[0] == frameJoin {
+	case frameJoin:
 		// A restarted peer announcing its new incarnation and socket.
 		// Multiproc worlds only — in-process ranks cannot restart — and
 		// the address is untrusted wire input: validate length and parse
 		// before it can reach the address table.
-		if d.lv != nil && d.cfg.Multiproc && len(wb.b) >= joinFrameMin {
-			from := int(binary.LittleEndian.Uint16(wb.b[1:3]))
-			inc := binary.LittleEndian.Uint32(wb.b[3:7])
-			alen := int(wb.b[7])
-			if from >= d.cfg.Ranks || from == ep.rank || len(wb.b) < joinFrameMin+alen {
+		if d.cfg.Multiproc && len(b) >= joinFrameMin {
+			alen := int(b[7])
+			if from >= d.cfg.Ranks || from == ep.rank || len(b) < joinFrameMin+alen {
 				d.decodeErrors.Add(1)
-			} else if addr, err := netip.ParseAddrPort(string(wb.b[joinFrameMin : joinFrameMin+alen])); err != nil {
+			} else if addr, err := netip.ParseAddrPort(string(b[joinFrameMin : joinFrameMin+alen])); err != nil {
 				d.decodeErrors.Add(1)
 			} else {
 				d.lv.handleJoin(ep.rank, from, inc, addr)
 			}
 		}
-		wb.release()
-		return
+	default:
+		d.decodeErrors.Add(1)
 	}
-	d.deliverParsed(ep, wb, wb.b)
+	wb.release()
 }
 
 // datagramIter walks the wire messages packed in one frameSingle or
@@ -352,9 +370,9 @@ type datagramIter struct {
 	err    error
 }
 
-// parseDatagram validates a frame header and returns an iterator over its
-// messages. It accepts exactly the frames the senders in this file emit
-// (after reliability unwrapping); anything else yields an error.
+// parseDatagram validates the header of the inner frame of a sequenced
+// datagram and returns an iterator over its messages. It accepts exactly
+// the frames the senders in this file emit; anything else yields an error.
 func parseDatagram(frame []byte) datagramIter {
 	if len(frame) < 1 {
 		return datagramIter{err: errors.New("gasnet: empty datagram")}
@@ -409,12 +427,12 @@ func (it *datagramIter) next() (Msg, bool) {
 	return m, true
 }
 
-// deliverParsed decodes one frameSingle/frameBatch frame (whose bytes live
-// in wb) and pushes its message(s) into ep's inbox, taking ownership of
-// wb. Corrupt frames are counted and dropped — a valid prefix of a batch
-// is still delivered; the datagram is already past the kernel, so partial
-// delivery is indistinguishable from partial loss, which the reliability
-// layer never produces and raw mode never promised against.
+// deliverParsed is the step after reliability unwrapping (it is called
+// only from reliability.receive): it decodes one frameSingle/frameBatch
+// frame (whose bytes live in wb) and pushes its message(s) into ep's
+// inbox, taking ownership of wb. Corrupt frames are counted and dropped —
+// a valid prefix of a batch is still delivered: the sequence number is
+// already consumed, and a well-behaved sender never produces one.
 func (d *Domain) deliverParsed(ep *Endpoint, wb *wireBuf, frame []byte) {
 	it := parseDatagram(frame)
 	pushed := 0
@@ -441,57 +459,32 @@ func (d *Domain) deliverParsed(ep *Endpoint, wb *wireBuf, frame []byte) {
 }
 
 // sendUDP ships one wire message to the target rank's socket as a
-// frameSingle datagram (sequenced under the reliability layer), staging
-// the encoding in a pooled buffer.
+// sequenced frameSingle datagram, staging the encoding in a pooled buffer.
 func (d *Domain) sendUDP(from, to int, m *Msg) {
-	hdr := 0
-	if d.rel != nil {
-		hdr = relHeaderLen
-	}
-	need := hdr + 1 + wireHeaderLen + len(m.Payload)
+	need := relHeaderLen + 1 + wireHeaderLen + len(m.Payload)
 	if need > maxUDPPayload {
 		panic(fmt.Sprintf("gasnet: AM payload %d bytes exceeds UDP conduit limit %d",
 			len(m.Payload), maxUDPPayload))
 	}
 	wb := d.arena.get(need)
-	wire := append(wb.b[:hdr], frameSingle)
-	wire = appendMsg(wire, m)
-	wb.b = wire
-	if d.rel != nil {
-		d.rel.send(from, to, wb)
-	} else {
-		d.writeDatagram(from, to, wire)
-	}
+	wb.b = appendMsg(append(wb.b[:relHeaderLen], frameSingle), m)
+	d.rel.send(from, to, wb)
 	wb.release()
 }
 
-// writeDatagram counts and ships one logical datagram (a first
-// transmission). Retransmissions and standalone acks go through writeFrame
-// directly and keep their own counters, so DatagramsSent stays the
-// coalescing cost model (datagrams the protocol decided to send) rather
-// than a wire-traffic tally.
-func (d *Domain) writeDatagram(from, to int, frame []byte) {
-	d.datagramsSent.Add(1)
-	d.writeFrame(from, to, frame)
-}
-
-// writeFrame puts one frame on the wire.
+// writeFrame puts one frame on the wire — a retransmission, a standalone
+// ack or a control frame, each of which keeps its own counter, or a first
+// transmission that reliability.send already counted in DatagramsSent.
 func (d *Domain) writeFrame(from, to int, frame []byte) {
 	conn := d.udp.send[from]
 	if _, err := conn.WriteToUDPAddrPort(frame, d.udp.addrOf(to)); err != nil {
 		if errors.Is(err, net.ErrClosed) {
 			return // racing shutdown; message loss is fine post-Close
 		}
-		if d.cfg.Multiproc {
-			// A real network: a failed write (a dead peer's ICMP-refused
-			// port, transient ENOBUFS) is wire loss — the reliability
-			// layer repairs it or, persisting, the liveness machine
-			// attributes it. In-process loopback worlds keep the panic: a
-			// failed write there is a program bug, not weather.
-			d.sendErrors.Add(1)
-			return
-		}
-		panic(fmt.Sprintf("gasnet: udp send failed: %v", err))
+		// A failed write (a dead peer's ICMP-refused port, transient
+		// ENOBUFS) is wire loss: the reliability layer repairs it or,
+		// persisting, the liveness machine attributes it.
+		d.sendErrors.Add(1)
 	}
 }
 
@@ -504,13 +497,9 @@ func (d *Domain) writeBatch(from int, frames []batchFrame) {
 		if errors.Is(err, net.ErrClosed) || d.udp.isClosed() {
 			return // racing shutdown; message loss is fine post-Close
 		}
-		if d.cfg.Multiproc {
-			// Treated as loss of the unwritten tail (see writeFrame): the
-			// reliability layer retransmits whatever the peer never saw.
-			d.sendErrors.Add(1)
-			return
-		}
-		panic(fmt.Sprintf("gasnet: udp batch send failed: %v", err))
+		// Loss of the unwritten tail (see writeFrame): the reliability
+		// layer retransmits whatever the peer never saw.
+		d.sendErrors.Add(1)
 	}
 }
 
@@ -520,8 +509,8 @@ func (d *Domain) writeBatch(from int, frames []batchFrame) {
 // send burst (Endpoint.BeginBurst/EndBurst), packing them into frameBatch
 // datagrams so a fan-in of k tokens costs one syscall instead of k. State
 // is owned by the endpoint's goroutine, like the rest of the send path.
-// Under the reliability layer the whole batch rides inside one sequenced
-// frame and is retransmitted as a unit.
+// The whole batch rides inside one sequenced frame and is retransmitted as
+// a unit.
 type coalescer struct {
 	bufs   []*wireBuf // per destination; nil when no pending batch
 	counts []int      // messages packed per destination
@@ -538,23 +527,13 @@ func newCoalescer(ranks int) *coalescer {
 // pending reports whether any destination has unflushed messages.
 func (c *coalescer) pending() bool { return len(c.dirty) > 0 }
 
-// relHdrLen is the per-datagram framing overhead of the reliability layer
-// for this domain (zero in raw mode).
-func (d *Domain) relHdrLen() int {
-	if d.rel != nil {
-		return relHeaderLen
-	}
-	return 0
-}
-
 // add packs m for destination to, flushing the destination first if the
 // message would overflow the datagram. Oversized single messages panic,
 // matching the non-coalesced path.
 func (ep *Endpoint) coalesce(to int, m *Msg) {
 	c := ep.co
-	hdr := ep.dom.relHdrLen()
 	need := 4 + wireHeaderLen + len(m.Payload)
-	if hdr+batchHeaderLen+need > maxUDPPayload {
+	if relHeaderLen+batchHeaderLen+need > maxUDPPayload {
 		panic(fmt.Sprintf("gasnet: AM payload %d bytes exceeds UDP conduit limit %d",
 			len(m.Payload), maxUDPPayload))
 	}
@@ -568,8 +547,8 @@ func (ep *Endpoint) coalesce(to int, m *Msg) {
 	if wb == nil {
 		wb = ep.dom.arena.get(bufClassLarge)
 		// Reserve the (garbage for now) reliability header; the batch
-		// count is patched at flush, the header at seqSend.
-		wb.b = append(wb.b[:hdr], frameBatch, 0, 0)
+		// count is patched at flush, the header at trySeal.
+		wb.b = append(wb.b[:relHeaderLen], frameBatch, 0, 0)
 		c.bufs[to] = wb
 		c.dirty = append(c.dirty, to)
 	}
@@ -581,13 +560,12 @@ func (ep *Endpoint) coalesce(to int, m *Msg) {
 }
 
 // stageDest seals destination to's pending batch — stamping the batch
-// count, and under the reliability layer the sequence header plus a slot
-// in the retransmit queue — and stages the frame on the endpoint's send
-// queue instead of writing it, so EndBurst ships every destination's
-// frame in one vectorized write. The caller's buffer reference travels
-// with the staged frame and is released by flushStaged after the write;
-// the retransmit queue holds its own reference, exactly as on the
-// immediate-write path.
+// count and the sequence header, and taking a slot in the retransmit
+// queue — and stages the frame on the endpoint's send queue instead of
+// writing it, so EndBurst ships every destination's frame in one
+// vectorized write. The caller's buffer reference travels with the staged
+// frame and is released by flushStaged after the write; the retransmit
+// queue holds its own reference, exactly as on the immediate-write path.
 func (ep *Endpoint) stageDest(to int) {
 	c := ep.co
 	wb := c.bufs[to]
@@ -595,39 +573,36 @@ func (ep *Endpoint) stageDest(to int) {
 		return
 	}
 	d := ep.dom
-	hdr := d.relHdrLen()
 	count := c.counts[to]
 	c.bufs[to] = nil
 	c.counts[to] = 0
-	binary.LittleEndian.PutUint16(wb.b[hdr+1:hdr+3], uint16(count))
+	binary.LittleEndian.PutUint16(wb.b[relHeaderLen+1:relHeaderLen+3], uint16(count))
 	if count > 1 {
 		d.coalescedBatches.Add(1)
 		d.coalescedMsgs.Add(int64(count))
 	}
-	if d.rel != nil {
-		spin := 0
-		for {
-			ok, full := d.rel.trySeal(ep.rank, to, wb)
-			if ok {
-				break
-			}
-			if !full {
-				// Shutdown or down peer: the frame is dropped, exactly as
-				// rel.send would drop it.
-				wb.release()
-				return
-			}
-			// The congestion window is full — and the frames already
-			// staged but unwritten may be why no acknowledgments are
-			// coming. Ship them so the window can drain, then wait like
-			// rel.send's backstop.
-			ep.flushStaged()
-			if spin < 4 {
-				spin++
-				runtime.Gosched()
-			} else {
-				time.Sleep(50 * time.Microsecond)
-			}
+	spin := 0
+	for {
+		ok, full := d.rel.trySeal(ep.rank, to, wb)
+		if ok {
+			break
+		}
+		if !full {
+			// Shutdown or down peer: the frame is dropped, exactly as
+			// rel.send would drop it.
+			wb.release()
+			return
+		}
+		// The congestion window is full — and the frames already staged
+		// but unwritten may be why no acknowledgments are coming. Ship
+		// them so the window can drain, then wait like rel.send's
+		// backstop.
+		ep.flushStaged()
+		if spin < 4 {
+			spin++
+			runtime.Gosched()
+		} else {
+			time.Sleep(50 * time.Microsecond)
 		}
 	}
 	ep.sendq = append(ep.sendq, batchFrame{b: wb.b, addr: d.udp.addrOf(to), wb: wb})
@@ -725,7 +700,7 @@ func (tr *udpTransport) close() {
 // means the peer falls back to the DownAfter silence timer). Multiproc
 // worlds only; in-process worlds tear every rank down together.
 func (d *Domain) sendBye() {
-	if d.udp == nil || !d.cfg.Multiproc || d.udp.isClosed() {
+	if !d.cfg.Multiproc || d.udp.isClosed() {
 		return
 	}
 	self := d.cfg.Self
@@ -734,7 +709,7 @@ func (d *Domain) sendBye() {
 	binary.LittleEndian.PutUint16(frame[1:3], uint16(self))
 	binary.LittleEndian.PutUint32(frame[3:7], d.inc)
 	for to := 0; to < d.cfg.Ranks; to++ {
-		if to == self || (d.lv != nil && d.lv.down(self, to)) {
+		if to == self || d.lv.down(self, to) {
 			continue
 		}
 		d.writeFrame(self, to, frame[:])
@@ -748,14 +723,11 @@ func (d *Domain) sendBye() {
 // multiproc world, departure is announced to the surviving peers first
 // (sendBye), integrating graceful teardown with the liveness machine.
 func (d *Domain) Close() {
+	if d.udp == nil {
+		return
+	}
 	d.sendBye()
-	if d.rel != nil {
-		d.rel.shutdown()
-	}
-	if d.udp != nil {
-		d.udp.close()
-	}
-	if d.rel != nil {
-		d.rel.drainState()
-	}
+	d.rel.shutdown()
+	d.udp.close()
+	d.rel.drainState()
 }

@@ -1,6 +1,10 @@
 package gasnet
 
 import (
+	"errors"
+	"net"
+	"net/netip"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -108,4 +112,142 @@ func TestUDPOversizedPayloadPanics(t *testing.T) {
 		Handler: HandlerUserBase,
 		Payload: make([]byte, maxUDPPayload+1),
 	})
+}
+
+// TestUnsequencedFrameDropped: payload travels only inside sequenced
+// frames, so a bare frameSingle/frameBatch arriving on a socket — which
+// would reach the inbox past the incarnation gate, duplicate suppression
+// and sequencing — is a counted decode error: the handler never runs and
+// the sender is not "heard". A sequenced message afterwards is the
+// control showing both observations can move.
+func TestUnsequencedFrameDropped(t *testing.T) {
+	m := Msg{Handler: HandlerUserBase, From: 0, A0: 7}
+	enc := encodeMsg(nil, &m)
+	single := append([]byte{frameSingle}, enc...)
+	batch := append([]byte{frameBatch, 1, 0, byte(len(enc)), 0, 0, 0}, enc...)
+	for name, bare := range map[string][]byte{"single": single, "batch": batch} {
+		t.Run(name, func(t *testing.T) {
+			// An hour between heartbeat rounds: the detector's logical clock
+			// moves only by this test's hand, and nothing but rank 0's own
+			// frames can refresh rank 1's record of it.
+			d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP,
+				Fault: &FaultConfig{}, HeartbeatEvery: time.Hour})
+			defer d.Close()
+			ran := 0
+			d.RegisterHandler(HandlerUserBase, func(*Endpoint, *Msg) { ran++ })
+			ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
+			heard := &d.lv.heardRound[d.lv.idx(1, 0)]
+			d.lv.round.Store(5)
+
+			if _, err := d.udp.send[0].WriteToUDPAddrPort(bare, d.udp.addrOf(1)); err != nil {
+				t.Fatal(err)
+			}
+			deadline := time.Now().Add(2 * time.Second)
+			for d.Stats().DecodeErrors == 0 && ran == 0 && time.Now().Before(deadline) {
+				ep1.Poll()
+			}
+			if ran != 0 {
+				t.Fatal("bare frame was dispatched")
+			}
+			if n := d.Stats().DecodeErrors; n != 1 {
+				t.Fatalf("DecodeErrors = %d, want 1", n)
+			}
+			if r := heard.Load(); r != 0 {
+				t.Errorf("bare frame refreshed heardRound to %d", r)
+			}
+
+			ep0.Send(1, m)
+			for ran == 0 && time.Now().Before(deadline) {
+				ep1.Poll()
+			}
+			if ran != 1 || heard.Load() != 5 {
+				t.Errorf("sequenced control: ran %d (want 1), heardRound %d (want 5)", ran, heard.Load())
+			}
+		})
+	}
+}
+
+// failOnceConn is a socket adapter whose next payload-carrying write,
+// once armed, fails without reaching the wire.
+type failOnceConn struct {
+	batchConn
+	armed atomic.Bool
+}
+
+var errInjectedWrite = errors.New("injected socket write failure")
+
+func payloadFrame(b []byte) bool { return len(b) > relHeaderLen && b[0] == frameSeq }
+
+func (c *failOnceConn) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) {
+	if payloadFrame(b) && c.armed.CompareAndSwap(true, false) {
+		return 0, errInjectedWrite
+	}
+	return c.batchConn.WriteToUDPAddrPort(b, addr)
+}
+
+func (c *failOnceConn) WriteBatch(frames []batchFrame) error {
+	for _, fr := range frames {
+		if payloadFrame(fr.b) && c.armed.CompareAndSwap(true, false) {
+			return errInjectedWrite
+		}
+	}
+	return c.batchConn.WriteBatch(frames)
+}
+
+// TestSendErrorIsRepairedLoss: a failed socket write — single-frame or
+// vectorized, in-process world or not — is wire loss, not a panic: it is
+// counted, the frame stays in the retransmission queue, and the put
+// completes off a retransmission.
+func TestSendErrorIsRepairedLoss(t *testing.T) {
+	for _, burst := range []bool{false, true} {
+		name := "writeFrame"
+		if burst {
+			name = "writeBatch"
+		}
+		t.Run(name, func(t *testing.T) {
+			var rank0 *failOnceConn // sockets are built in rank order
+			d, err := newDomain(Config{Ranks: 2, Conduit: UDP, Fault: &FaultConfig{}},
+				func(c *net.UDPConn, d *Domain) batchConn {
+					fc := &failOnceConn{batchConn: newBatchConn(c, d)}
+					if rank0 == nil {
+						rank0 = fc
+					}
+					return fc
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer d.Close()
+			ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
+			var done bool
+			var failed error
+			rank0.armed.Store(true)
+			if burst {
+				ep0.BeginBurst()
+			}
+			ep0.PutRemote(1, 0, []byte("survives a failed write"), nil, func(err error) {
+				done, failed = true, err
+			})
+			if burst {
+				ep0.EndBurst()
+			}
+			deadline := time.Now().Add(10 * time.Second)
+			for !done && time.Now().Before(deadline) {
+				ep1.Poll()
+				if ep0.Poll() == 0 {
+					ep0.Park()
+				}
+			}
+			if !done || failed != nil {
+				t.Fatalf("put done=%v err=%v", done, failed)
+			}
+			s := d.Stats()
+			if s.SendErrors != 1 {
+				t.Errorf("SendErrors = %d, want 1", s.SendErrors)
+			}
+			if s.Retransmits < 1 {
+				t.Errorf("Retransmits = %d, want >= 1", s.Retransmits)
+			}
+		})
+	}
 }

@@ -48,7 +48,6 @@ func multiprocWorker(scenario string) error {
 		HeartbeatEvery: 2 * time.Millisecond,
 		SuspectAfter:   20 * time.Millisecond,
 		DownAfter:      80 * time.Millisecond,
-		DisableHealing: os.Getenv(disableHealEnv) != "",
 	}
 	if strings.HasPrefix(scenario, "partition") {
 		// The partition workers assert heal counts and liveness states on
@@ -86,13 +85,9 @@ func multiprocWorker(scenario string) error {
 		case "churn":
 			churnScenario(w, r, echo, bump, &notifies)
 		case "partition":
-			partitionScenario(w, r, echo, bump, &notifies, false)
-		case "partition-terminal":
-			partitionScenario(w, r, echo, bump, &notifies, true)
+			partitionScenario(w, r, echo)
 		case "serve":
 			serveScenario(r)
-		case "bench":
-			benchServeScenario(r)
 		default:
 			panic("unknown worker scenario " + scenario)
 		}
@@ -256,23 +251,6 @@ func serveScenario(r *gupcxx.Rank) {
 	for len(r.DownPeers()) == 0 {
 		if time.Now().After(deadline) {
 			panic("no peer died within the serve window")
-		}
-		r.Serve()
-	}
-}
-
-// benchServeScenario is rank 1 of BenchmarkOpPipelineMultiproc: publish
-// the target word the bench rank hammers, then serve progress until the
-// bench rank departs (its goodbye after the exit drain marks it down
-// here). Benchmarks run long, so the window is generous.
-func benchServeScenario(r *gupcxx.Rank) {
-	word := gupcxx.New[uint64](r)
-	gupcxx.ExchangePtr(r, word)
-	r.Barrier()
-	deadline := time.Now().Add(10 * time.Minute)
-	for len(r.DownPeers()) == 0 {
-		if time.Now().After(deadline) {
-			panic("bench rank never departed")
 		}
 		r.Serve()
 	}

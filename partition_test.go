@@ -7,14 +7,12 @@ package gupcxx_test
 // or backpressure — never hang; intra-group traffic must be untouched.
 // After the heal, every severed pair must return to Alive under the SAME
 // incarnation (healed, not readmitted) and carry RMA and RPC traffic in
-// both directions. A second test pins the Config.DisableHealing kill
-// switch: the identical scenario leaves the cut pairs terminally Down.
-// Run via `make test-partition` (wired into CI) or the ordinary test run.
+// both directions. Run via `make test-partition` (wired into CI) or the
+// ordinary test run.
 
 import (
 	"fmt"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -22,16 +20,11 @@ import (
 	"gupcxx/internal/boot"
 )
 
-// disableHealEnv tells the workers to set Config.DisableHealing, so the
-// kill-switch test reuses the same worker binary.
-const disableHealEnv = "GUPCXX_TEST_DISABLE_HEAL"
-
-// partitionScenario is the per-rank body of TestMultiprocPartition (and,
-// with terminal set, TestMultiprocPartitionHealingDisabled). The world is
-// split down the middle by the scenario script; each rank watches its two
-// cross-group peers go Down and — unless healing is disabled — come back
-// under the same incarnation.
-func partitionScenario(w *gupcxx.World, r *gupcxx.Rank, echo, mark gupcxx.RPCHandlerID, marks *atomic.Int64, terminal bool) {
+// partitionScenario is the per-rank body of TestMultiprocPartition. The
+// world is split down the middle by the scenario script; each rank
+// watches its two cross-group peers go Down and come back under the same
+// incarnation.
+func partitionScenario(w *gupcxx.World, r *gupcxx.Rank, echo gupcxx.RPCHandlerID) {
 	me, n := r.Me(), r.N() // 4 ranks, scenario groups {0,1} | {2,3}
 	inGroup := me ^ 1
 	var cross []int
@@ -88,48 +81,6 @@ func partitionScenario(w *gupcxx.World, r *gupcxx.Rank, echo, mark gupcxx.RPCHan
 		if verr == nil || !tolerableChurnErr(verr) {
 			panic(fmt.Sprintf("op toward severed peer %d resolved as %v", p, verr))
 		}
-	}
-
-	if terminal {
-		// Healing disabled: the network heals (scenario phase 2) but the
-		// pairs must stay Down. Hold well past the heal time and re-check.
-		hold := time.Now().Add(4 * time.Second)
-		for time.Now().Before(hold) {
-			for _, p := range cross {
-				if !r.PeerDown(p) {
-					panic(fmt.Sprintf("rank %d: peer %d resurrected despite DisableHealing", me, p))
-				}
-			}
-			r.Serve()
-		}
-		s := dom.Stats()
-		if s.PeersHealed != 0 {
-			panic(fmt.Sprintf("PeersHealed = %d with DisableHealing", s.PeersHealed))
-		}
-		if s.ProbesSent != 0 {
-			panic(fmt.Sprintf("ProbesSent = %d with DisableHealing", s.ProbesSent))
-		}
-		mustEcho(r, inGroup, echo, 60*time.Second)
-		// In-group end barrier: world collectives would include the severed
-		// half, so each rank marks its partner and waits to be marked.
-		markDeadline := time.Now().Add(60 * time.Second)
-		for {
-			_, err := gupcxx.RPCWire(r, inGroup, mark, []byte{1}, gupcxx.OpDeadline(5*time.Second)).WaitErr()
-			if err == nil {
-				break
-			}
-			if !tolerableChurnErr(err) || time.Now().After(markDeadline) {
-				panic(fmt.Sprintf("in-group end barrier %d->%d: %v", me, inGroup, err))
-			}
-		}
-		hold = time.Now().Add(120 * time.Second)
-		for marks.Load() < 1 {
-			if time.Now().After(hold) {
-				panic("in-group end barrier never completed")
-			}
-			r.Serve()
-		}
-		return
 	}
 
 	// Heal phase: wait for both cross peers to return to Alive.
@@ -222,36 +173,5 @@ func TestMultiprocPartition(t *testing.T) {
 	}
 	if got := strings.Count(out.String(), "WORKER_OK scenario=partition"); got != 4 {
 		t.Errorf("%d of 4 ranks reported success; output:\n%s", got, out.String())
-	}
-}
-
-// TestMultiprocPartitionHealingDisabled pins the kill switch: the same
-// split under Config.DisableHealing leaves the severed pairs terminally
-// Down — no probes, no heals — while the intra-group halves keep working
-// and every process still exits cleanly.
-func TestMultiprocPartitionHealingDisabled(t *testing.T) {
-	if testing.Short() {
-		t.Skip("partition soak skipped in -short mode")
-	}
-	defer leakCheck(t)()
-	out := &syncBuffer{}
-	lw, err := boot.LaunchLocal(4, 17, workerArgv(), []string{
-		workerEnv + "=partition-terminal",
-		disableHealEnv + "=1",
-		"GUPCXX_UDP_FAULT=",
-		"GUPCXX_UDP_SCENARIO=at=1s partition=0,1|2,3; at=3s heal",
-	}, out, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lw.Kill()
-	if err := lw.Wait(); err != nil {
-		t.Fatalf("terminal-partition world failed: %v\noutput:\n%s", err, out.String())
-	}
-	if got := strings.Count(out.String(), "WORKER_OK scenario=partition-terminal"); got != 4 {
-		t.Errorf("%d of 4 ranks reported success; output:\n%s", got, out.String())
-	}
-	if strings.Contains(out.String(), "peer-healed") {
-		t.Errorf("heal observed despite DisableHealing; output:\n%s", out.String())
 	}
 }

@@ -126,10 +126,9 @@ func (r *Rank) Serve() int {
 // with ErrPeerUnreachable. Down is no longer forever: a restarted peer
 // that rejoins through the readmission protocol clears it, and a peer
 // that went quiet behind a network partition heals back under the same
-// incarnation once partition probes get through (Config.DisableHealing
-// opts out) — so re-check per operation rather than caching the answer;
-// a true observed before a recovery only means operations issued back
-// then would have failed.
+// incarnation once partition probes get through — so re-check per
+// operation rather than caching the answer; a true observed before a
+// recovery only means operations issued back then would have failed.
 func (r *Rank) PeerDown(target int) bool { return r.ep.PeerDown(target) }
 
 // DownPeers returns the ranks this rank has declared down, in rank order

@@ -2,7 +2,7 @@ package gupcxx_test
 
 // Shape tests: the paper's qualitative claims, asserted end-to-end with
 // deliberately generous thresholds (the quantitative reproduction lives in
-// cmd/benchall + EXPERIMENTS.md; these tests exist so a regression that
+// bench/ + EXPERIMENTS.md; these tests exist so a regression that
 // destroys an effect — e.g. the eager path starting to allocate — fails
 // `go test`). Skipped in -short mode.
 

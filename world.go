@@ -262,10 +262,6 @@ type Config struct {
 	// incarnation itself can never return.
 	DownAfter time.Duration
 
-	// DisableLiveness turns the UDP heartbeat/failure-detection machinery
-	// off (retransmission exhaustion then aborts the job).
-	DisableLiveness bool
-
 	// Version selects the emulated library behaviour. The zero value
 	// selects Eager2021_3_6, the paper's proposed default.
 	Version Version
@@ -313,18 +309,6 @@ type Config struct {
 	// restarted rank would wait on peers that silently drop its
 	// new-incarnation frames. Only meaningful with Multiproc.
 	Rejoin bool
-
-	// DisableReadmission makes Down permanent again: join frames from
-	// restarted peers are ignored, restoring the pre-churn "Down is
-	// forever" contract for deployments that replace failed ranks by
-	// relaunching the whole world.
-	DisableReadmission bool
-
-	// DisableHealing makes silence-driven Down terminal again: a peer
-	// declared dead because the network went quiet (a partition, not a
-	// goodbye) is never probed and never healed back to Alive. Readmission
-	// of genuinely restarted ranks is unaffected.
-	DisableHealing bool
 
 	// Peers is the rank-indexed UDP address table of a Multiproc world.
 	Peers []netip.AddrPort
@@ -386,15 +370,12 @@ func NewWorld(cfg Config) (*World, error) {
 		HeartbeatEvery:   cfg.HeartbeatEvery,
 		SuspectAfter:     cfg.SuspectAfter,
 		DownAfter:        cfg.DownAfter,
-		DisableLiveness:  cfg.DisableLiveness,
 		Multiproc:        cfg.Multiproc,
 		Self:             cfg.Self,
 		Peers:            cfg.Peers,
 		SelfConn:         cfg.SelfConn,
 		Epoch:            cfg.Epoch,
 		Rejoin:           cfg.Rejoin,
-		DisableReadmission: cfg.DisableReadmission,
-		DisableHealing:     cfg.DisableHealing,
 		Events:           bus,
 	})
 	if err != nil {
@@ -581,8 +562,8 @@ func (w *World) Multiproc() bool { return w.multiproc }
 func (w *World) Rejoined() bool { return w.dom.Config().Rejoin }
 
 // Incarnation returns this process's incarnation stamp: the normalized
-// world epoch, bumped for readmitted ranks. In-process worlds report 1
-// unless Config.Epoch was set.
+// world epoch, bumped for readmitted ranks. In-process worlds always
+// report 1: Config.Epoch is honoured only with Multiproc.
 func (w *World) Incarnation() uint32 { return w.dom.Incarnation() }
 
 // Domain exposes the underlying substrate domain (instrumentation and
@@ -730,9 +711,9 @@ func (w *World) SetPairFault(from, to int, cfg FaultConfig) error {
 // probes included) between ranks in different groups is dropped. Ranks
 // not listed form an implicit group of their own. The liveness machine
 // then declares the cut pairs Down; HealPartition restores the network
-// and lets them heal back to Alive under the same incarnation (unless
-// Config.DisableHealing). In a multiproc world each process applies its
-// own senders' half — coordinate with the GUPCXX_UDP_SCENARIO DSL.
+// and lets them heal back to Alive under the same incarnation. In a
+// multiproc world each process applies its own senders' half — coordinate
+// with the GUPCXX_UDP_SCENARIO DSL.
 func (w *World) SetPartition(groups [][]int) error {
 	return w.dom.SetPartition(groups)
 }
