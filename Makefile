@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet staticcheck bench-smoke bench bench-compare test-loss test-fault test-soak test-obs test-multiproc test-churn test-partition ci
+.PHONY: build test race vet staticcheck fuzz-smoke bench-smoke bench bench-compare test-loss test-fault test-soak test-obs test-multiproc test-churn test-partition ci
 
 build:
 	$(GO) build ./...
@@ -31,6 +31,20 @@ staticcheck:
 	else \
 		echo "staticcheck not installed; skipping (go install honnef.co/go/tools/cmd/staticcheck@latest)" ; \
 	fi
+
+# Five seconds of coverage-guided fuzzing per target: `go test` alone only
+# replays each target's seed corpus. A crasher lands under the package's
+# testdata/fuzz/ — commit it; it is then a regression seed tier-1 replays.
+FUZZ_TARGETS = \
+	./internal/gasnet:FuzzLifecycle ./internal/gasnet:FuzzDecodeMsg \
+	./internal/gasnet:FuzzDecodeDatagram ./internal/gasnet:FuzzDecodeFrameSeq \
+	.:FuzzDecodeGptr \
+	./internal/serial:FuzzDecoderNeverPanics ./internal/serial:FuzzEncodeDecodeRoundTrip
+fuzz-smoke:
+	@set -e; for t in $(FUZZ_TARGETS); do \
+		echo "fuzz $$t"; \
+		$(GO) test -run '^$$' -fuzz "^$${t##*:}\$$" -fuzztime 5s "$${t%%:*}"; \
+	done
 
 # bench/ is its own module (gupcxx/bench, replace gupcxx => ../), so the
 # tier-1 build never compiles it: this is what makes a root-module API
@@ -133,4 +147,4 @@ test-partition:
 	$(GO) test -race -count 1 -run 'TestMultiprocPartition' -timeout 10m .
 
 # Everything CI runs, in CI's order.
-ci: build test race vet bench-smoke staticcheck test-obs test-loss test-fault test-soak test-multiproc test-churn test-partition
+ci: build test race vet fuzz-smoke bench-smoke staticcheck test-obs test-loss test-fault test-soak test-multiproc test-churn test-partition

@@ -90,6 +90,13 @@ func DecodePtr[T any](r *Rank, w uint64) (GlobalPtr[T], error) {
 		return GlobalPtr[T]{}, fmt.Errorf("gupcxx: gptr segment id %#x, want %#x (stale incarnation of rank %d?)",
 			segid, worldSegID(rec), rank)
 	}
+	if rank == 0 && off == 0 {
+		// The allocator never hands out rank 0's offset 0 (GlobalPtr.Null):
+		// a non-zero word naming it would decode to a pointer that reads
+		// as null and re-encodes as 0.
+		r.w.dom.NoteGptrReject()
+		return GlobalPtr[T]{}, fmt.Errorf("gupcxx: gptr %#x names rank 0 offset 0, the reserved null slot", w)
+	}
 	size := uint64(gasnet.SizeOf[T]())
 	segBytes := uint64(r.w.dom.Config().SegmentBytes)
 	if end := uint64(off) + size; end < uint64(off) || end > segBytes {

@@ -51,7 +51,7 @@ func (e *BackpressureError) Is(target error) bool { return target == ErrBackpres
 // have no window to fill and are always admitted.
 func (ep *Endpoint) AdmitSend(to int, maxWait time.Duration) error {
 	d := ep.dom
-	if d.rel == nil || to == ep.rank || to < 0 || to >= d.cfg.Ranks {
+	if ep.host == nil || to == ep.rank || to < 0 || to >= d.cfg.Ranks {
 		return nil
 	}
 	if ep.PeerDown(to) {
@@ -71,14 +71,14 @@ func (ep *Endpoint) AdmitSend(to int, maxWait time.Duration) error {
 // block stays "on" — relief is only ever declared by an admission that
 // actually went through.
 func (r *reliability) admit(from, to int, maxWait time.Duration) error {
-	p := r.pair(from, to)
+	p := r.d.peer(from, to)
 	p.mu.Lock()
 	if len(p.inflight) < p.cwnd {
 		r.noteRelief(p, from, to)
 		p.mu.Unlock()
 		return nil
 	}
-	if r.bpFailFast {
+	if r.d.cfg.Backpressure == BackpressureFailFast {
 		r.noteOnset(p, from, to)
 		p.mu.Unlock()
 		r.d.backpressureFails.Add(1)
@@ -90,7 +90,7 @@ func (r *reliability) admit(from, to int, maxWait time.Duration) error {
 	// even though this goroutine is parked — the wait cannot deadlock the
 	// pair against itself. Deadlines use the real clock: this path is
 	// already off the fast path by definition.
-	wait := r.bpWait
+	wait := r.d.cfg.BackpressureWait
 	if maxWait > 0 && maxWait < wait {
 		wait = maxWait
 	}
@@ -101,7 +101,7 @@ func (r *reliability) admit(from, to int, maxWait time.Duration) error {
 			p.mu.Unlock()
 			return nil
 		}
-		if p.down {
+		if p.lc.state == peerDown {
 			// Down supersedes backpressure; clear the edge without a
 			// relief event (the liveness transition tells the story).
 			p.bpBlocked = false
@@ -125,7 +125,7 @@ func (r *reliability) admit(from, to int, maxWait time.Duration) error {
 }
 
 // noteOnset records the idle→blocked backpressure edge. Caller holds p.mu.
-func (r *reliability) noteOnset(p *relPair, from, to int) {
+func (r *reliability) noteOnset(p *peer, from, to int) {
 	if p.bpBlocked {
 		return
 	}
@@ -134,7 +134,7 @@ func (r *reliability) noteOnset(p *relPair, from, to int) {
 }
 
 // noteRelief records the blocked→idle backpressure edge. Caller holds p.mu.
-func (r *reliability) noteRelief(p *relPair, from, to int) {
+func (r *reliability) noteRelief(p *peer, from, to int) {
 	if !p.bpBlocked {
 		return
 	}
@@ -158,14 +158,14 @@ type FlowState struct {
 }
 
 // FlowState reports rank local's congestion state toward peer. The zero
-// FlowState is returned for conduits without a reliability layer, for
-// self-queries, and for out-of-range ranks (there is no flow to report).
+// FlowState is returned for conduits without a reliability layer, for a
+// local rank hosted by another process, for self-queries, and for
+// out-of-range ranks (there is no flow to report).
 func (d *Domain) FlowState(local, peer int) FlowState {
-	if d.rel == nil || local == peer ||
-		local < 0 || local >= d.cfg.Ranks || peer < 0 || peer >= d.cfg.Ranks {
+	p := d.peer(local, peer)
+	if p == nil || local == peer {
 		return FlowState{}
 	}
-	p := d.rel.pair(local, peer)
 	p.mu.Lock()
 	fs := FlowState{
 		SRTT:          time.Duration(p.srtt),
@@ -173,7 +173,7 @@ func (d *Domain) FlowState(local, peer int) FlowState {
 		Window:        p.cwnd,
 		InFlight:      len(p.inflight),
 		ReorderBytes:  p.reorderBytes,
-		ReorderBudget: d.rel.reorderBudget,
+		ReorderBudget: d.cfg.RelReorderBytes,
 	}
 	for i := range p.inflight {
 		fs.InFlightBytes += len(p.inflight[i].wb.b)

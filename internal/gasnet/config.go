@@ -273,6 +273,9 @@ func (c Config) normalized() (Config, error) {
 	case SMP, PSHM, UDP:
 		c.RanksPerNode = c.Ranks
 		if c.Conduit == UDP {
+			if c.Ranks > 1<<16 {
+				return c, fmt.Errorf("gasnet: the UDP conduit's frames carry the sender rank as a u16: Ranks must be <= %d, got %d", 1<<16, c.Ranks)
+			}
 			if c.Fault == nil {
 				f, err := faultFromEnv()
 				if err != nil {

@@ -104,15 +104,14 @@ type Domain struct {
 	// bytes a notify-put carried.
 	notifyHook func(ep *Endpoint, id uint32, args []byte)
 
-	// udp is the socket transport, rel its reliability layer, lv the
-	// peer-failure detector riding rel's ticker. Invariant: on the UDP
-	// conduit all three are non-nil (initUDP builds them together), on
-	// every other conduit all three are nil — so code reachable only on
-	// UDP uses them unguarded, and code reachable on any conduit tests
-	// one of them.
+	// udp is the socket transport — the hosted ranks and their peer rows —
+	// and rel the ticker that drives reliability and the failure detector
+	// over them. Invariant: on the UDP conduit both are non-nil (initUDP
+	// builds them together), on every other conduit both are nil — so code
+	// reachable only on UDP uses them unguarded, and code reachable on any
+	// conduit tests one of them, or an Endpoint's host.
 	udp *udpTransport
 	rel *reliability
-	lv  *liveness
 
 	// scen is the armed network scenario (scenario.go), stepped by the
 	// reliability ticker via faultTick; nil when no scenario is armed.
@@ -126,7 +125,7 @@ type Domain struct {
 
 // emit publishes one substrate health event. Safe to call from any
 // goroutine (ticker, socket readers, rank goroutines) and from under a
-// relPair mutex: the bus is lock-free and never blocks. Timestamps come
+// peer mutex: the bus is lock-free and never blocks. Timestamps come
 // from the cached clock — event consumers want ordering and rough
 // placement, not syscall-fresh precision.
 func (d *Domain) emit(k obs.EventKind, rank, peer int, a, b int64) {
@@ -145,17 +144,20 @@ func (d *Domain) emit(k obs.EventKind, rank, peer int, a, b int64) {
 
 // LivenessState reports rank local's current view of peer as a metric
 // label: "alive", "suspect", or "down". Conduits without a failure
-// detector report every peer alive; a rank's view of itself is "self".
+// detector — and ranks hosted by another process, whose view this process
+// does not hold — report every peer alive; a rank's view of itself is
+// "self".
 // Race-safe (atomic reads) and callable from any goroutine.
 func (d *Domain) LivenessState(local, peer int) string {
 	if local == peer {
 		return "self"
 	}
-	if d.lv == nil || local < 0 || local >= d.cfg.Ranks || peer < 0 || peer >= d.cfg.Ranks {
+	p := d.peer(local, peer)
+	if p == nil {
 		return "alive"
 	}
-	switch d.lv.stateOf(local, peer) {
-	case peerSuspect, peerDying:
+	switch p.state.Load() {
+	case peerSuspect:
 		return "suspect"
 	case peerDown:
 		return "down"
@@ -175,11 +177,10 @@ func (d *Domain) Incarnation() uint32 { return d.inc }
 // every view on conduits without a failure detector — is the domain's own
 // incarnation. Race-safe; callable from any goroutine.
 func (d *Domain) IncarnationOf(local, peer int) uint32 {
-	if d.lv == nil || local == peer ||
-		local < 0 || local >= d.cfg.Ranks || peer < 0 || peer >= d.cfg.Ranks {
-		return d.inc
+	if p := d.peer(local, peer); p != nil && local != peer {
+		return p.inc.Load()
 	}
-	return d.lv.incOf(local, peer)
+	return d.inc
 }
 
 // Stats is a snapshot of the substrate's fast-path counters, the wire/queue
@@ -409,17 +410,15 @@ func (d *Domain) Stats() Stats {
 		s.RemoteOpsAcked += ep.ops.acked.Load()
 		s.RemoteOpsFailed += ep.ops.failed.Load()
 	}
-	if d.rel != nil {
-		for i := range d.rel.pairs {
-			p := &d.rel.pairs[i]
-			p.mu.Lock()
-			if int64(p.inflightHW) > s.RelInflightHighWater {
-				s.RelInflightHighWater = int64(p.inflightHW)
+	if d.udp != nil {
+		for _, h := range d.udp.hosts {
+			for i := range h.peers {
+				p := &h.peers[i]
+				p.mu.Lock()
+				s.RelInflightHighWater = max(s.RelInflightHighWater, int64(p.inflightHW))
+				s.RelReorderHighWater = max(s.RelReorderHighWater, int64(p.reorderHW))
+				p.mu.Unlock()
 			}
-			if int64(p.reorderHW) > s.RelReorderHighWater {
-				s.RelReorderHighWater = int64(p.reorderHW)
-			}
-			p.mu.Unlock()
 		}
 	}
 	return s
@@ -518,6 +517,16 @@ func (d *Domain) Ranks() int { return d.cfg.Ranks }
 // Endpoint returns rank r's endpoint.
 func (d *Domain) Endpoint(r int) *Endpoint { return d.eps[r] }
 
+// peer returns rank local's record of rank to, or nil when this process
+// holds none: a conduit without sockets, a local rank hosted by another
+// process, an index out of range.
+func (d *Domain) peer(local, to int) *peer {
+	if local < 0 || local >= d.cfg.Ranks || to < 0 || to >= d.cfg.Ranks || d.eps[local].host == nil {
+		return nil
+	}
+	return &d.eps[local].host.peers[to]
+}
+
 // Segment returns rank r's shared segment.
 func (d *Domain) Segment(r int) *Segment { return d.segs[r] }
 
@@ -568,6 +577,10 @@ type Endpoint struct {
 	Ctx any
 
 	wirebuf []byte // reused encode buffer for SIM sends
+
+	// host is this rank's socket and peer rows on the UDP conduit (udp.go);
+	// nil on every other conduit, and for a rank another process hosts.
+	host *host
 
 	// burst and co implement sender-side coalescing on the UDP conduit
 	// (see udp.go): while burst > 0, wire messages are packed per
@@ -712,11 +725,11 @@ func (ep *Endpoint) Poll() int {
 		// not stall peers forever.
 		ep.flushSends()
 	}
-	if lv := ep.dom.lv; lv != nil && lv.epochOf(ep.rank) != ep.lvSeen {
+	if h := ep.host; h != nil && h.epoch.Load() != ep.lvSeen {
 		// A peer of this rank was declared down since the last poll: fail
 		// its pending operations here, on the owner goroutine, preserving
 		// the op table's no-locking confinement.
-		ep.sweepDown(lv)
+		ep.sweepDown(h)
 	}
 	n := 0
 	if len(ep.held) > 0 {
@@ -733,11 +746,11 @@ func (ep *Endpoint) Poll() int {
 		ep.dispatch(&msgs[i])
 		msgs[i].release()
 	}
-	if ep.dom.rel != nil {
+	if ep.host != nil {
 		// Eager ack flush: anything this dispatch round did not answer
 		// with reverse traffic is acknowledged now, not at the ticker's
 		// pacing deadline (see reliability.flushAcks).
-		ep.dom.rel.flushAcks(ep.rank)
+		ep.dom.rel.flushAcks(ep.host)
 	}
 	return n + len(msgs)
 }
@@ -768,13 +781,13 @@ func (ep *Endpoint) dispatch(m *Msg) {
 // peer reads Alive again, while operations registered after readmission
 // (stamped with the newer generation by DownGen) must survive. Owner
 // goroutine only (called from Poll).
-func (ep *Endpoint) sweepDown(lv *liveness) {
-	ep.lvSeen = lv.epochOf(ep.rank)
+func (ep *Endpoint) sweepDown(h *host) {
+	ep.lvSeen = h.epoch.Load()
 	if ep.deathsSeen == nil {
 		ep.deathsSeen = make([]uint32, ep.dom.cfg.Ranks)
 	}
 	for peer := range ep.deathsSeen {
-		cur := lv.deathsOf(ep.rank, peer)
+		cur := h.peers[peer].deaths.Load()
 		if peer == ep.rank || cur == ep.deathsSeen[peer] {
 			continue
 		}
@@ -792,11 +805,10 @@ func (ep *Endpoint) sweepDown(lv *liveness) {
 // sweep can tell operations against the current incarnation from ones
 // buried with a previous one. Zero without a failure detector.
 func (ep *Endpoint) DownGen(peer int) uint32 {
-	lv := ep.dom.lv
-	if lv == nil || peer < 0 || peer >= ep.dom.cfg.Ranks {
+	if ep.host == nil || peer < 0 || peer >= ep.dom.cfg.Ranks {
 		return 0
 	}
-	return lv.deathsOf(ep.rank, peer)
+	return ep.host.peers[peer].deaths.Load()
 }
 
 // SetPeerDownHook installs the runtime layer's peer-death notification,
@@ -814,8 +826,7 @@ func (ep *Endpoint) SetPeerDownHook(fn func(peer int, err error)) { ep.onPeerDow
 // either, PeerDown reads false again, so callers gating long-lived loops
 // should re-check per operation rather than caching the verdict.
 func (ep *Endpoint) PeerDown(peer int) bool {
-	lv := ep.dom.lv
-	return lv != nil && lv.down(ep.rank, peer)
+	return ep.host != nil && ep.host.peers[peer].state.Load() == peerDown
 }
 
 // AnyPeerDown cheaply reports whether this rank has EVER declared a peer
@@ -826,20 +837,15 @@ func (ep *Endpoint) PeerDown(peer int) bool {
 // peers they depend on (PeerDown), so the stale-true costs a slow-path
 // pass, never a wrong answer.
 func (ep *Endpoint) AnyPeerDown() bool {
-	lv := ep.dom.lv
-	return lv != nil && lv.epochOf(ep.rank) != 0
+	return ep.host != nil && ep.host.epoch.Load() != 0
 }
 
 // DownPeers returns the ranks this endpoint has declared down, in rank
 // order (nil when none).
 func (ep *Endpoint) DownPeers() []int {
-	lv := ep.dom.lv
-	if lv == nil {
-		return nil
-	}
 	var down []int
 	for peer := 0; peer < ep.dom.cfg.Ranks; peer++ {
-		if peer != ep.rank && lv.down(ep.rank, peer) {
+		if peer != ep.rank && ep.PeerDown(peer) {
 			down = append(down, peer)
 		}
 	}

@@ -26,6 +26,15 @@ func TestConfigValidation(t *testing.T) {
 	if _, err := NewDomain(Config{Ranks: 2, SegmentBytes: 4}); err == nil {
 		t.Error("tiny segment accepted")
 	}
+	// The wire's rank field is a u16; checked on the Config alone, so no
+	// 65537-rank world is built to find out.
+	t.Setenv(faultEnvVar, "")
+	if _, err := (Config{Ranks: 1<<16 + 1, Conduit: UDP}).normalized(); err == nil {
+		t.Error("65537 ranks accepted on the UDP conduit: rank 65536 would alias rank 0 on the wire")
+	}
+	if _, err := (Config{Ranks: 1 << 16, Conduit: UDP}).normalized(); err != nil {
+		t.Errorf("65536 ranks refused on the UDP conduit: %v", err)
+	}
 	d := newTestDomain(t, Config{Ranks: 2})
 	if d.Config().SegmentBytes != DefaultSegmentBytes {
 		t.Error("segment default not applied")

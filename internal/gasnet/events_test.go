@@ -42,8 +42,9 @@ func hasEvent(evs []obs.Event, k obs.EventKind) bool {
 
 // TestLivenessEvents drives the failure detector's full state walk —
 // Alive→Suspect→Alive (recovery) and Alive→Suspect→Down — and asserts
-// every transition shows up on the bus exactly as an edge: direct calls
-// into the detector, so the event payloads can be pinned precisely.
+// every transition shows up on the bus exactly as an edge: lifecycle
+// events delivered straight to the applier, so the event payloads can be
+// pinned precisely.
 func TestLivenessEvents(t *testing.T) {
 	bus := obs.NewBus(0)
 	sub := bus.Subscribe()
@@ -58,11 +59,12 @@ func TestLivenessEvents(t *testing.T) {
 		t.Fatalf("LivenessState(0,0) = %q, want self", got)
 	}
 
-	// Alive→Suspect: one event; a second markSuspect is a no-op.
-	d.lv.markSuspect(0, 1)
-	d.lv.markSuspect(0, 1)
+	// Alive→Suspect: one event; a second shed burst is a no-op.
+	h0 := d.eps[0].host
+	h0.deliver(1, event{kind: evShedBurst})
+	h0.deliver(1, event{kind: evShedBurst})
 	if got := d.LivenessState(0, 1); got != "suspect" {
-		t.Fatalf("LivenessState(0,1) after markSuspect = %q, want suspect", got)
+		t.Fatalf("LivenessState(0,1) after a shed burst = %q, want suspect", got)
 	}
 	evs, ok := waitForEvent(sub, obs.EvPeerSuspect, nil)
 	if !ok {
@@ -82,7 +84,7 @@ func TestLivenessEvents(t *testing.T) {
 	}
 
 	// Suspect→Alive on hearing from the peer.
-	d.lv.heard(0, 1)
+	h0.deliver(1, event{kind: evHeartbeat, inc: d.inc})
 	if got := d.LivenessState(0, 1); got != "alive" {
 		t.Fatalf("LivenessState(0,1) after heard = %q, want alive", got)
 	}
@@ -91,10 +93,10 @@ func TestLivenessEvents(t *testing.T) {
 	}
 
 	// Down is terminal and emits once.
-	d.lv.markDown(0, 1, causeBye)
-	d.lv.markDown(0, 1, causeBye)
+	h0.deliver(1, event{kind: evBye, inc: d.inc})
+	h0.deliver(1, event{kind: evBye, inc: d.inc})
 	if got := d.LivenessState(0, 1); got != "down" {
-		t.Fatalf("LivenessState(0,1) after markDown = %q, want down", got)
+		t.Fatalf("LivenessState(0,1) after a goodbye = %q, want down", got)
 	}
 	if evs, ok = waitForEvent(sub, obs.EvPeerDown, evs); !ok {
 		t.Fatal("no peer-down event")
@@ -124,7 +126,7 @@ func TestBackpressureEvents(t *testing.T) {
 	defer d.Close()
 
 	r := d.rel
-	p := r.pair(0, 1)
+	p := d.peer(0, 1)
 
 	// Choke the window to zero: every admission refuses.
 	p.mu.Lock()
@@ -237,9 +239,9 @@ func TestWindowGrowEvent(t *testing.T) {
 	// stall under the race detector cannot expire the 5 ms initial RTO
 	// first (an expiry halves the window and the sample is no longer
 	// clean: the test failed ~3 % of -race runs that way).
-	p := d.rel.pair(0, 1)
+	p := d.peer(0, 1)
 	p.mu.Lock()
-	p.cwnd = d.rel.window - 1
+	p.cwnd = d.cfg.RelWindow - 1
 	p.rto = relRTOMax
 	p.mu.Unlock()
 
@@ -265,8 +267,8 @@ func TestWindowGrowEvent(t *testing.T) {
 		t.Fatal("no window-grow event after recovery to the ceiling")
 	}
 	for _, ev := range evs {
-		if ev.Kind == obs.EvWindowGrow && ev.A != int64(d.rel.window) {
-			t.Errorf("grow event ceiling = %d, want %d", ev.A, d.rel.window)
+		if ev.Kind == obs.EvWindowGrow && ev.A != int64(d.cfg.RelWindow) {
+			t.Errorf("grow event ceiling = %d, want %d", ev.A, d.cfg.RelWindow)
 		}
 	}
 }

@@ -479,21 +479,21 @@ func (d *Domain) rankOfAddr(addr netip.AddrPort) int {
 	return -1
 }
 
-// faultShim returns rank's fault layer. Every UDP socket has one; in a
-// multiproc world only Self's socket lives in this process, so every
-// other rank errors.
+// faultShim returns rank's fault layer. Every hosted rank has one; in a
+// multiproc world only Self is hosted by this process, so every other
+// rank errors.
 func (d *Domain) faultShim(rank int) (*faultConn, error) {
 	if d.udp == nil {
 		return nil, fmt.Errorf("gasnet: fault injection: not a UDP-conduit domain")
 	}
-	if rank < 0 || rank >= len(d.udp.send) {
+	if rank < 0 || rank >= d.cfg.Ranks {
 		return nil, fmt.Errorf("gasnet: fault injection: rank %d out of range", rank)
 	}
-	fc, ok := d.udp.send[rank].(*faultConn)
-	if !ok || fc == nil {
+	h := d.eps[rank].host
+	if h == nil {
 		return nil, fmt.Errorf("gasnet: fault injection: rank %d is not hosted by this process", rank)
 	}
-	return fc, nil
+	return h.send, nil
 }
 
 // SetFault replaces rank's base send-path fault distribution mid-run
@@ -582,21 +582,17 @@ func (d *Domain) SetPartition(groups [][]int) error {
 			group[i] = len(groups) // the implicit group of unlisted ranks
 		}
 	}
-	for from := range d.udp.send {
-		fc, ok := d.udp.send[from].(*faultConn)
-		if !ok || fc == nil {
-			continue // multiproc: only Self's socket lives here
-		}
+	for _, h := range d.udp.hosts {
 		var blocked map[int]bool
 		for to := 0; to < d.cfg.Ranks; to++ {
-			if to != from && group[to] != group[from] {
+			if to != h.rank && group[to] != group[h.rank] {
 				if blocked == nil {
 					blocked = make(map[int]bool)
 				}
 				blocked[to] = true
 			}
 		}
-		fc.setBlocked(blocked)
+		h.send.setBlocked(blocked)
 	}
 	return nil
 }
@@ -608,10 +604,8 @@ func (d *Domain) HealPartition() error {
 	if d.udp == nil {
 		return fmt.Errorf("gasnet: HealPartition: not a UDP-conduit domain")
 	}
-	for from := range d.udp.send {
-		if fc, ok := d.udp.send[from].(*faultConn); ok && fc != nil {
-			fc.setBlocked(nil)
-		}
+	for _, h := range d.udp.hosts {
+		h.send.setBlocked(nil)
 	}
 	return nil
 }
@@ -619,11 +613,9 @@ func (d *Domain) HealPartition() error {
 // healNetwork is the scenario engine's heal directive: partition lifted
 // AND pair overrides cleared on every locally-hosted sender.
 func (d *Domain) healNetwork() {
-	for from := range d.udp.send {
-		if fc, ok := d.udp.send[from].(*faultConn); ok && fc != nil {
-			fc.setBlocked(nil)
-			fc.clearPairConfigs()
-		}
+	for _, h := range d.udp.hosts {
+		h.send.setBlocked(nil)
+		h.send.clearPairConfigs()
 	}
 }
 
@@ -635,9 +627,7 @@ func (d *Domain) faultTick(now int64) {
 	if s := d.scen.Load(); s != nil {
 		s.step(now)
 	}
-	for _, pc := range d.udp.send {
-		if fc, ok := pc.(*faultConn); ok && fc != nil {
-			fc.drain(now)
-		}
+	for _, h := range d.udp.hosts {
+		h.send.drain(now)
 	}
 }

@@ -9,7 +9,7 @@ import (
 // TestRTTSampleEstimator pins the Jacobson/Karels update rules and the
 // clamps on the derived RTO and standalone-ack delay.
 func TestRTTSampleEstimator(t *testing.T) {
-	p := &relPair{}
+	p := &peer{}
 
 	// First sample initializes srtt = rtt, rttvar = rtt/2, RTO = srtt+4var.
 	rtt := int64(8 * time.Millisecond)
@@ -44,7 +44,7 @@ func TestRTTSampleEstimator(t *testing.T) {
 	}
 
 	// Tiny samples clamp to the floors.
-	q := &relPair{}
+	q := &peer{}
 	for i := 0; i < 8; i++ {
 		q.sampleRTT(int64(10 * time.Microsecond))
 	}
@@ -384,7 +384,7 @@ func TestReorderShedBudget(t *testing.T) {
 	payload := make([]byte, 100)
 	for seq := uint32(2); seq <= 12; seq++ {
 		d.receiveDatagram(ep1, forgeSeqFrame(d, seq, payload))
-		p := d.rel.pair(1, 0)
+		p := d.peer(1, 0)
 		p.mu.Lock()
 		over := p.reorderBytes > budget
 		p.mu.Unlock()
@@ -427,7 +427,7 @@ func TestReorderShedBudget(t *testing.T) {
 func TestShedBurstMarksSuspect(t *testing.T) {
 	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP})
 	defer d.Close()
-	p := d.rel.pair(0, 1)
+	p := d.peer(0, 1)
 	p.mu.Lock()
 	p.shedRecent = relShedSuspect
 	p.mu.Unlock()

@@ -258,7 +258,7 @@ func TestBatchDeliveryCorruptFrame(t *testing.T) {
 		{b: []byte{0xEE, 0xBA, 0xD0}, addr: d.udp.addrOf(1)}, // unknown tag
 		{b: valid(2), addr: d.udp.addrOf(1)},
 	}
-	if err := d.udp.send[0].WriteBatch(frames); err != nil {
+	if err := d.eps[0].host.send.WriteBatch(frames); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(2 * time.Second)

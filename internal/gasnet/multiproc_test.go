@@ -83,6 +83,19 @@ func TestMultiprocTopology(t *testing.T) {
 	if d0.Config().StaticLocal() {
 		t.Error("multiproc locality must be dynamic")
 	}
+	// One hosted rank, one row of Ranks peer records — not Ranks².
+	if len(d0.udp.hosts) != 1 || d0.udp.hosts[0].rank != 0 || len(d0.udp.hosts[0].peers) != 3 {
+		t.Errorf("rank 0 hosts %d rank(s), want exactly itself with a 3-peer row", len(d0.udp.hosts))
+	}
+	if d0.eps[1].host != nil || d0.eps[2].host != nil {
+		t.Error("a rank hosted by another process has a host record here")
+	}
+	if fs := d0.FlowState(1, 0); fs != (FlowState{}) {
+		t.Errorf("FlowState of a rank hosted elsewhere = %+v, want zero", fs)
+	}
+	if err := d0.SetFault(1, FaultConfig{}); err == nil {
+		t.Error("SetFault accepted a rank hosted by another process")
+	}
 }
 
 func TestMultiprocConfigValidation(t *testing.T) {

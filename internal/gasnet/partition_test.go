@@ -172,7 +172,7 @@ func TestPartitionDownAndHeal(t *testing.T) {
 	if !done {
 		t.Fatal("pre-cut put never completed")
 	}
-	inc01 := d.lv.incOf(0, 1)
+	inc01 := d.IncarnationOf(0, 1)
 
 	if err := d.SetPartition([][]int{{0}, {1}}); err != nil {
 		t.Fatal(err)
@@ -214,7 +214,7 @@ func TestPartitionDownAndHeal(t *testing.T) {
 	if s.ProbesSent == 0 {
 		t.Error("ProbesSent = 0: healing without probes")
 	}
-	if got := d.lv.incOf(0, 1); got != inc01 {
+	if got := d.IncarnationOf(0, 1); got != inc01 {
 		t.Errorf("incarnation changed across heal: %d -> %d", inc01, got)
 	}
 
@@ -384,9 +384,9 @@ func TestHealResetsRetransmitBackoff(t *testing.T) {
 
 	// The pair is parked, not released, and its entries backed all the way
 	// off while retransmitting into the cut.
-	p := d.rel.pair(0, 1)
+	p := d.peer(0, 1)
 	p.mu.Lock()
-	parked := p.down
+	parked := p.lc.state == peerDown && p.lc.cause == causeNet
 	entries := len(p.inflight)
 	var maxRTO int64
 	for i := range p.inflight {
@@ -409,9 +409,9 @@ func TestHealResetsRetransmitBackoff(t *testing.T) {
 	// observed before acks drain them. At most one ticker sweep can slip
 	// in between heal and the lock below (one doubling from the reseeded
 	// base), which is still far below the clamp.
-	d.lv.heal(0, 1)
+	d.eps[0].host.deliver(1, event{kind: evProbeAck, inc: d.inc})
 	p.mu.Lock()
-	if p.down {
+	if p.lc.state == peerDown {
 		t.Error("pair still parked after heal")
 	}
 	if len(p.inflight) != entries {

@@ -30,7 +30,7 @@ import (
 // highest contiguously received sequence number from its destination, and
 // a domain-level ticker ships a standalone ack when a receiver has sat on
 // a pending ack for longer than relAckDelay with nothing to piggyback it
-// on. incarnation is the sender's epoch-stamped identity (liveness.go):
+// on. incarnation is the sender's epoch-stamped identity (lifecycle.go):
 // a frame stamped with a dead incarnation of the sender — a datagram that
 // outlived its process — is rejected before any ack or delivery
 // processing, so a restarted rank's fresh streams are never corrupted by
@@ -56,8 +56,8 @@ import (
 // surfaced as Endpoint.AdmitSend and core.Engine initiation).
 // Exhausting the retransmission budget
 // (Config.RelMaxAttempts, default relMaxAttempts) declares the
-// destination down via the liveness detector (liveness.go): its queue is
-// released, its pending operations fail with ErrPeerUnreachable, and the
+// destination down through the peer lifecycle (lifecycle.go): its queue is
+// parked, its pending operations fail with ErrPeerUnreachable, and the
 // job keeps running.
 //
 // Receiver side, per pair: the next-expected frame is delivered
@@ -108,7 +108,7 @@ const (
 	// from delivery (see receive).
 	relReorderBytes = 1 << 20
 
-	// relShedSuspect sheds within one ticker sweep mark the overloading
+	// relShedSuspect sheds within one ticker pass mark the overloading
 	// sender Suspect — sustained receive-side pressure is a liveness
 	// signal, not just an accounting line.
 	relShedSuspect = 4
@@ -156,38 +156,30 @@ type relEntry struct {
 	wb       *wireBuf
 }
 
-// relPair is the reliability state rank `local` keeps about rank `peer`:
-// the send stream local→peer (sequence counter and retransmission queue)
-// and the receive stream peer→local (cumulative sequence, reorder buffer,
-// and pending-ack bookkeeping). One mutex covers both halves; it is taken
-// by the local rank's send path, by the reader goroutine of local's
-// socket, and by the ticker.
-type relPair struct {
+// peer is everything hosted rank `local` keeps about rank `peer`, in one
+// record behind one mutex: what it believes about the peer's liveness and
+// identity (lc, stepped only by host.transition — liveness.go), and both
+// sequenced streams between them. The mutex is taken by the local rank's
+// send path, by the reader goroutine of local's socket, and by the ticker.
+// "Is the peer down" has one source of truth, lc.state: while it reads
+// peerDown, trySeal drops new sends (no new sequence numbers, no new
+// gaps), the ticker retransmits nothing, and window-blocked senders drain
+// out.
+type peer struct {
 	mu sync.Mutex
+	lc lifecycle
 
-	// Send stream local→peer.
-	nextSeq  uint32 // last assigned sequence number (first assigned is 1)
-	inflight []relEntry
+	// What lock-free readers need of lc, republished by host.transition:
+	// state for PeerDown / LivenessState / the heartbeat fan-out, deaths
+	// for DownGen, inc for IncarnationOf. deaths is published BEFORE a
+	// Down state — PeerDown(peer) == true implies DownGen already includes
+	// that death — so an op that saw the peer Down (or was refused because
+	// of it) never stamps the buried generation.
+	state  atomic.Int32
+	deaths atomic.Uint32
+	inc    atomic.Uint32
 
-	// Congestion state for the send stream (Jacobson/Karels estimator +
-	// AIMD window, see the package comment). srtt == 0 means no sample
-	// yet; rto and cwnd are seeded by newReliability.
-	srtt       int64  // smoothed RTT, ns
-	rttvar     int64  // RTT mean deviation, ns
-	rto        int64  // current estimator RTO, ns (seeds new entries)
-	cwnd       int    // adaptive window, in [windowMin, window]
-	sendAcked  uint32 // highest cumulative ack the peer has sent us
-	recoverSeq uint32 // no second multiplicative decrease until acked past this
-
-	// Receive stream peer→local.
-	cumSeq       uint32              // highest contiguously received
-	lastAck      uint32              // last cumulative ack shipped to peer
-	reorder      map[uint32]*wireBuf // buffered out-of-order frames
-	reorderBytes int                 // bytes parked in reorder
-	shedRecent   int                 // frames shed since the last ticker sweep
-	ackPending   bool
-	ackSince     int64 // cached-clock time ackPending was set
-	ackDelay     int64 // RTT-paced standalone-ack delay, ns
+	streams
 
 	// ackHint mirrors ackPending for the poll loop's lock-free glance
 	// (flushAcks): armed by the reader alongside ackPending, cleared under
@@ -199,10 +191,36 @@ type relPair struct {
 	// Stats so capacity pressure is observable rather than inferred.
 	inflightHW int
 	reorderHW  int
+}
 
-	// down marks the send stream as targeting a declared-dead peer: sends
-	// are dropped instead of queued, and window-blocked senders drain out.
-	down bool
+// streams is the sequenced-stream half of a peer record: the send stream
+// local→peer (sequence counter and retransmission queue) and the receive
+// stream peer→local (cumulative sequence, reorder buffer, pending-ack
+// bookkeeping). Readmission resets it as a unit (peer.reset).
+type streams struct {
+	// Send stream local→peer.
+	nextSeq  uint32 // last assigned sequence number (first assigned is 1)
+	inflight []relEntry
+
+	// Congestion state for the send stream (Jacobson/Karels estimator +
+	// AIMD window, see the package comment). srtt == 0 means no sample
+	// yet; rto and cwnd are seeded by reset.
+	srtt       int64  // smoothed RTT, ns
+	rttvar     int64  // RTT mean deviation, ns
+	rto        int64  // current estimator RTO, ns (seeds new entries)
+	cwnd       int    // adaptive window, in [RelWindowMin, RelWindow]
+	sendAcked  uint32 // highest cumulative ack the peer has sent us
+	recoverSeq uint32 // no second multiplicative decrease until acked past this
+
+	// Receive stream peer→local.
+	cumSeq       uint32              // highest contiguously received
+	lastAck      uint32              // last cumulative ack shipped to peer
+	reorder      map[uint32]*wireBuf // buffered out-of-order frames
+	reorderBytes int                 // bytes parked in reorder
+	shedRecent   int                 // frames shed since the last ticker pass
+	ackPending   bool
+	ackSince     int64 // cached-clock time ackPending was set
+	ackDelay     int64 // RTT-paced standalone-ack delay, ns
 
 	// bpBlocked tracks whether the last admission attempt on this pair hit
 	// a full window, so the ops plane sees backpressure onset/relief as
@@ -211,32 +229,29 @@ type relPair struct {
 	bpBlocked bool
 }
 
-// reliability is the per-domain instance: the pair grid plus the ticker
-// goroutine (run, started by initUDP) that drives retransmissions and
-// overdue standalone acks.
+// reliability is the per-domain instance: the ticker goroutine (run,
+// started by initUDP) that drives retransmissions, overdue standalone acks
+// and the failure detector's rounds over every hosted rank's peer row
+// (udp.go). The window, attempt and budget bounds are read from the
+// normalized Config.
 type reliability struct {
-	d     *Domain
-	ranks int
-	pairs []relPair // [local*ranks + peer]
+	d *Domain
 
-	// self restricts the ticker's sweep to one sending rank (a multiproc
-	// world, where only Self's send streams exist in this process); -1
-	// sweeps every rank's streams (in-process worlds).
-	self int
+	// The failure detector's cadence, ticker-goroutine-local: the ticker
+	// completes a heartbeat round every hbEvery ns (lastHB is the
+	// cached-clock time of the last one) and hands its number to every
+	// peer record as an evRound.
+	hbEvery int64
+	lastHB  int64
+	round   int64
 
-	// window and maxAttempts are the per-domain bounds (Config.RelWindow /
-	// Config.RelMaxAttempts; the package constants are their defaults).
-	// windowMin is the AIMD floor, reorderBudget the per-pair parked-bytes
-	// bound, bpFailFast/bpWait the admission policy (config.go).
-	window        int
-	windowMin     int
-	maxAttempts   int
-	reorderBudget int
-	bpFailFast    bool
-	bpWait        time.Duration
-
-	// lv is the liveness detector driven by this layer's ticker.
-	lv *liveness
+	// rejoin marks this domain as a restarted rank (Config.Rejoin): the
+	// ticker announces the new incarnation with joinFrame
+	// ([frameJoin][rank u16][incarnation u32][addr len u8][addr]) each
+	// heartbeat round until every live peer has acked new-incarnation
+	// traffic.
+	rejoin    bool
+	joinFrame []byte
 
 	closed   atomic.Bool
 	stopOnce sync.Once
@@ -244,58 +259,25 @@ type reliability struct {
 	done     chan struct{}
 }
 
-func newReliability(d *Domain) *reliability {
+func newReliability(d *Domain, now int64) *reliability {
 	r := &reliability{
-		d:           d,
-		ranks:       d.cfg.Ranks,
-		self:        -1,
-		pairs:       make([]relPair, d.cfg.Ranks*d.cfg.Ranks),
-		window:      d.cfg.RelWindow,
-		maxAttempts: d.cfg.RelMaxAttempts,
-		lv:          d.lv, // constructed first (initUDP)
-		stop:        make(chan struct{}),
-		done:        make(chan struct{}),
+		d:       d,
+		hbEvery: int64(d.cfg.HeartbeatEvery),
+		lastHB:  now,
+		rejoin:  d.cfg.Rejoin,
+		stop:    make(chan struct{}),
+		done:    make(chan struct{}),
 	}
-	if r.window <= 0 {
-		r.window = relWindow
-	}
-	if r.maxAttempts <= 0 {
-		r.maxAttempts = relMaxAttempts
-	}
-	r.windowMin = d.cfg.RelWindowMin
-	if r.windowMin <= 0 || r.windowMin > r.window {
-		r.windowMin = relWindowMin
-	}
-	if r.windowMin > r.window {
-		r.windowMin = r.window
-	}
-	r.reorderBudget = d.cfg.RelReorderBytes
-	if r.reorderBudget <= 0 {
-		r.reorderBudget = relReorderBytes
-	}
-	if d.cfg.Multiproc {
-		r.self = d.cfg.Self
-	}
-	r.bpFailFast = d.cfg.Backpressure == BackpressureFailFast
-	r.bpWait = d.cfg.BackpressureWait
-	if r.bpWait <= 0 {
-		r.bpWait = relBPWait
-	}
-	// Seed every pair's congestion state before the ticker or any sender
-	// can touch it: full window (shrink on evidence of loss, like TCP's
-	// initial cwnd being generous on a known-short path), default RTO and
-	// ack pacing until the estimator has samples.
-	for i := range r.pairs {
-		p := &r.pairs[i]
-		p.cwnd = r.window
-		p.rto = relRTO
-		p.ackDelay = relAckDelay
+	if r.rejoin {
+		addr := []byte(d.cfg.Peers[d.cfg.Self].String())
+		r.joinFrame = make([]byte, joinFrameMin+len(addr))
+		r.joinFrame[0] = frameJoin
+		binary.LittleEndian.PutUint16(r.joinFrame[1:3], uint16(d.cfg.Self))
+		binary.LittleEndian.PutUint32(r.joinFrame[3:7], d.inc)
+		r.joinFrame[7] = byte(len(addr))
+		copy(r.joinFrame[joinFrameMin:], addr)
 	}
 	return r
-}
-
-func (r *reliability) pair(local, peer int) *relPair {
-	return &r.pairs[local*r.ranks+peer]
 }
 
 // parseRelHeader validates a sequenced frame's fixed prefix. The inner
@@ -315,8 +297,8 @@ func parseRelHeader(b []byte) (from uint16, inc, seq, ack uint32, err error) {
 }
 
 // send stamps wb (whose first relHeaderLen bytes were reserved by the
-// caller) with the next sequence number for from→to and the piggybacked
-// cumulative ack for to→from, retains it in the retransmission queue, and
+// caller) with the next sequence number for h.rank→to and the piggybacked
+// cumulative ack for to→h.rank, retains it in the retransmission queue, and
 // ships it. It blocks while the in-flight congestion window is full —
 // but the block is liveness-aware: acks arrive on the socket reader
 // goroutine (so credit frees without this goroutine running), and a peer
@@ -324,10 +306,10 @@ func parseRelHeader(b []byte) (from uint16, inc, seq, ack uint32, err error) {
 // drains out promptly instead of wedging against a peer that will never
 // ack. Admission-controlled callers (AdmitSend) normally reserve credit
 // before reaching here, so this block is the backstop, not the policy.
-func (r *reliability) send(from, to int, wb *wireBuf) {
+func (r *reliability) send(h *host, to int, wb *wireBuf) {
 	spin := 0
 	for {
-		ok, full := r.trySeal(from, to, wb)
+		ok, full := r.trySeal(h, to, wb)
 		if ok {
 			break
 		}
@@ -354,7 +336,7 @@ func (r *reliability) send(from, to int, wb *wireBuf) {
 	// counters, so it stays the coalescing cost model — datagrams the
 	// protocol decided to send — rather than a wire-traffic tally.
 	r.d.datagramsSent.Add(1)
-	r.d.writeFrame(from, to, wb.b)
+	h.writeFrame(to, wb.b)
 }
 
 // trySeal attempts the non-writing half of send: stamp wb with the next
@@ -366,10 +348,10 @@ func (r *reliability) send(from, to int, wb *wireBuf) {
 // when ok is false, full distinguishes a momentarily-full congestion
 // window (retry after letting acks drain) from a dropped frame
 // (shutdown or down peer — the caller still owns its wb reference).
-func (r *reliability) trySeal(from, to int, wb *wireBuf) (ok, full bool) {
-	p := r.pair(from, to)
+func (r *reliability) trySeal(h *host, to int, wb *wireBuf) (ok, full bool) {
+	p := &h.peers[to]
 	p.mu.Lock()
-	if r.closed.Load() || p.down {
+	if r.closed.Load() || p.lc.state == peerDown {
 		p.mu.Unlock()
 		return false, false
 	}
@@ -387,7 +369,7 @@ func (r *reliability) trySeal(from, to int, wb *wireBuf) (ok, full bool) {
 	p.lastAck = ack
 	b := wb.b
 	b[0] = frameSeq
-	binary.LittleEndian.PutUint16(b[1:3], uint16(from))
+	binary.LittleEndian.PutUint16(b[1:3], uint16(h.rank))
 	binary.LittleEndian.PutUint32(b[3:7], r.d.inc)
 	binary.LittleEndian.PutUint32(b[7:11], seq)
 	binary.LittleEndian.PutUint32(b[11:15], ack)
@@ -412,7 +394,7 @@ func (r *reliability) trySeal(from, to int, wb *wireBuf) (ok, full bool) {
 // pacing delay. Caller holds p.mu. Only never-retransmitted datagrams are
 // sampled (Karn's rule — an ack for a retransmitted datagram is ambiguous
 // about which transmission it answers).
-func (p *relPair) sampleRTT(rtt int64) {
+func (p *peer) sampleRTT(rtt int64) {
 	if rtt <= 0 {
 		return
 	}
@@ -457,22 +439,23 @@ func (r *reliability) receive(ep *Endpoint, wb *wireBuf) {
 		wb.release()
 		return
 	}
-	// Incarnation gate before ANY processing: a frame from a dead
-	// incarnation of the sender must not refresh liveness, complete acks,
-	// or deliver — its process is gone and its streams were reset (or will
-	// be, on readmission).
-	if !r.lv.checkInc(ep.rank, int(from), inc) {
-		wb.release()
-		return
-	}
-	// Any sequenced traffic is proof of life; heartbeats only carry the
-	// idle case.
-	r.lv.heard(ep.rank, int(from))
-	p := r.pair(ep.rank, int(from))
+	h := ep.host
+	p := &h.peers[from]
 	var ackNow bool
 	var ackVal uint32
 
 	p.mu.Lock()
+	// Incarnation gate before ANY processing, inside the lock the rest of
+	// the frame needs anyway: a frame from a dead incarnation of the
+	// sender must not refresh liveness, complete acks, or deliver — its
+	// process is gone and its streams were reset (or will be, on
+	// readmission). Passing it is proof of life; heartbeats only carry
+	// the idle case.
+	if h.transition(p, int(from), event{kind: evHeard, inc: inc}).do&fxAccept == 0 {
+		p.mu.Unlock()
+		wb.release()
+		return
+	}
 	// Ack half: release every in-flight datagram the peer has cumulatively
 	// acknowledged (entries are in sequence order; numbers do not wrap).
 	// The newest released entry that was never retransmitted yields an RTT
@@ -499,13 +482,13 @@ func (r *reliability) receive(ep *Endpoint, wb *wireBuf) {
 		}
 		if cleanSentAt >= 0 {
 			p.sampleRTT(clockRefresh() - cleanSentAt)
-			if p.cwnd < r.window {
+			if p.cwnd < d.cfg.RelWindow {
 				p.cwnd++
 				d.windowGrows.Add(1)
-				if p.cwnd == r.window {
+				if p.cwnd == d.cfg.RelWindow {
 					// Fully recovered to the configured ceiling — one event
 					// per recovery episode, not one per additive step.
-					d.emit(obs.EvWindowGrow, ep.rank, int(from), int64(r.window), 0)
+					d.emit(obs.EvWindowGrow, ep.rank, int(from), int64(p.cwnd), 0)
 				}
 			}
 		}
@@ -561,7 +544,7 @@ func (r *reliability) receive(ep *Endpoint, wb *wireBuf) {
 	default:
 		// Future sequence: a gap the sender will retransmit into.
 		switch {
-		case seq-p.cumSeq > uint32(r.window):
+		case seq-p.cumSeq > uint32(d.cfg.RelWindow):
 			// Beyond anything a well-behaved sender has in flight.
 			d.outOfWindowDrops.Add(1)
 			p.mu.Unlock()
@@ -583,7 +566,7 @@ func (r *reliability) receive(ep *Endpoint, wb *wireBuf) {
 			// it is the one shed. Shedding is loss the sender repairs; the
 			// budget just refuses to let one peer's burst pin unbounded
 			// arena memory.
-			for p.reorderBytes+len(wb.b) > r.reorderBudget {
+			for p.reorderBytes+len(wb.b) > d.cfg.RelReorderBytes {
 				var hiSeq uint32
 				for s := range p.reorder {
 					if s > hiSeq {
@@ -601,7 +584,7 @@ func (r *reliability) receive(ep *Endpoint, wb *wireBuf) {
 				d.shedBytes.Add(int64(len(victim.b)))
 				victim.release()
 			}
-			if p.reorderBytes+len(wb.b) > r.reorderBudget {
+			if p.reorderBytes+len(wb.b) > d.cfg.RelReorderBytes {
 				p.shedRecent++
 				d.shedFrames.Add(1)
 				d.shedBytes.Add(int64(len(wb.b)))
@@ -618,11 +601,11 @@ func (r *reliability) receive(ep *Endpoint, wb *wireBuf) {
 		}
 	}
 	if ackNow {
-		r.sendAck(ep.rank, int(from), ackVal)
+		r.sendAck(h, int(from), ackVal)
 	}
 }
 
-// flushAcks ships every pending ack on from's receive streams right away.
+// flushAcks ships every pending ack on h's receive streams right away.
 // It is the eager half of ack pacing, called from the owner's poll loop
 // after a dispatch round: if delivering the inbound frames produced no
 // reverse traffic to piggyback on (pure one-sided streams — puts, and
@@ -633,9 +616,9 @@ func (r *reliability) receive(ep *Endpoint, wb *wireBuf) {
 // world on a small machine) the ticker goroutine can be starved past the
 // sender's RTO by the very poll loop that just consumed the data;
 // flushing here turns that retransmission storm back into one timely ack.
-func (r *reliability) flushAcks(from int) {
-	for to := 0; to < r.ranks; to++ {
-		p := r.pair(from, to)
+func (r *reliability) flushAcks(h *host) {
+	for to := range h.peers {
+		p := &h.peers[to]
 		if !p.ackHint.Load() {
 			continue
 		}
@@ -650,29 +633,29 @@ func (r *reliability) flushAcks(from int) {
 		p.lastAck = ack
 		p.ackHint.Store(false)
 		p.mu.Unlock()
-		r.sendAck(from, to, ack)
+		r.sendAck(h, to, ack)
 	}
 }
 
 // sendAck ships a standalone cumulative acknowledgment (seq 0, no inner
-// frame) from→to. Standalone acks are unsequenced and unreliable: a lost
+// frame) h.rank→to. Standalone acks are unsequenced and unreliable: a lost
 // ack is repaired by the next ack or by the sender's retransmission.
-func (r *reliability) sendAck(from, to int, ack uint32) {
+func (r *reliability) sendAck(h *host, to int, ack uint32) {
 	d := r.d
 	wb := d.arena.get(relHeaderLen)
 	b := wb.b
 	b[0] = frameSeq
-	binary.LittleEndian.PutUint16(b[1:3], uint16(from))
+	binary.LittleEndian.PutUint16(b[1:3], uint16(h.rank))
 	binary.LittleEndian.PutUint32(b[3:7], d.inc)
 	binary.LittleEndian.PutUint32(b[7:11], 0)
 	binary.LittleEndian.PutUint32(b[11:15], ack)
 	d.acksStandalone.Add(1)
-	d.writeFrame(from, to, b)
+	h.writeFrame(to, b)
 	wb.release()
 }
 
-// run is the ticker goroutine: it keeps the cached clock fresh and sweeps
-// the pair grid for expired retransmissions and overdue standalone acks.
+// run is the ticker goroutine: it keeps the cached clock fresh and makes
+// one pass over every hosted peer row per tick.
 func (r *reliability) run() {
 	defer close(r.done)
 	t := time.NewTicker(relTickInterval)
@@ -682,163 +665,174 @@ func (r *reliability) run() {
 		case <-r.stop:
 			return
 		case <-t.C:
-			now := clockRefresh()
-			r.sweep(now)
-			r.lv.tick(now)
-			// Network-model housekeeping: scenario phases and delayed
-			// (latency-injected) datagrams run off the same tick.
-			r.d.faultTick(now)
+			r.tick(clockRefresh())
 		}
 	}
 }
 
-// sweep retransmits every in-flight datagram whose deadline passed and
-// flushes pending acks older than the pair's RTT-paced delay. An expiry
-// is the AIMD loss signal: the congestion window is halved down to the
-// floor — at most once per in-flight window of loss (recoverSeq guard, so
-// one burst of drops costs one decrease, not one per datagram) — and the
-// event is counted as an RTOExpiration. Sustained receive-side shedding
-// observed since the last sweep marks the overloading sender Suspect.
-func (r *reliability) sweep(now int64) {
+// tick is one ticker step. When a heartbeat period has elapsed the
+// detector's logical clock advances and this pass is also a heartbeat
+// round; ticks between rounds (and ticks delayed by the scheduler)
+// neither send heartbeats nor accrue silence. A rejoining rank stops
+// announcing itself once a round finds no peer still owed a join.
+func (r *reliability) tick(now int64) {
+	var round int64 // 0: not a heartbeat boundary (rounds count from 1)
+	if now-r.lastHB >= r.hbEvery {
+		r.lastHB = now
+		r.round++
+		round = r.round
+	}
+	joining := false
+	for _, h := range r.d.udp.hosts {
+		for to := range h.peers {
+			if r.tickPeer(h, to, now, round) {
+				joining = true
+			}
+		}
+	}
+	if round != 0 && !joining {
+		r.rejoin = false // every live peer has us; stop announcing
+	}
+	// Network-model housekeeping: scenario phases and delayed
+	// (latency-injected) datagrams run off the same tick.
+	r.d.faultTick(now)
+}
+
+// tickPeer is the ticker's whole business with one peer record, in one
+// lock hold: retransmit every in-flight datagram whose deadline passed,
+// flush a pending ack older than the RTT-paced delay, and — on a heartbeat
+// boundary — ship the heartbeat, step the lifecycle through the round
+// (silence thresholds, probe pacing) and decide whether the peer is still
+// owed a join announcement, which it reports. Heartbeats, probes, joins
+// and standalone acks are unsequenced and unreliable — losing one is
+// exactly the signal the detector measures — and traverse the sender's
+// real send path, fault shim included, so a rank whose sends are all
+// dropped goes silent for everyone else.
+//
+// An expiry is the AIMD loss signal: the congestion window is halved down
+// to the floor — at most once per in-flight window of loss (recoverSeq
+// guard, so one burst of drops costs one decrease, not one per datagram)
+// — and counted as an RTOExpiration. A datagram out of attempts means the
+// peer is dead or partitioned: the lifecycle declares it down, pending
+// operations fail with ErrPeerUnreachable through the Poll-time sweep, and
+// the job decides what to do. Sustained receive-side shedding since the
+// last pass marks the flooding sender Suspect: rank h.rank is being sent
+// to faster than it can deliver, which is a health signal about `to`, not
+// just an accounting line.
+func (r *reliability) tickPeer(h *host, to int, now, round int64) (joining bool) {
 	d := r.d
-	for from := 0; from < r.ranks; from++ {
-		if r.self >= 0 && from != r.self {
-			continue // only Self's send streams exist in a multiproc world
+	p := &h.peers[to]
+	beat := round != 0 && to != h.rank
+	if beat && p.state.Load() != peerDown {
+		d.heartbeatsSent.Add(1)
+		h.writeFrame(to, h.hbFrame[:])
+	}
+	var fx effects
+	ackDue := false
+	var ack uint32
+
+	p.mu.Lock()
+	if p.lc.state != peerDown { // a parked queue must not retransmit into the partition
+		// Deadlines are not sorted once backoff diverges, so scan the
+		// whole (window-bounded) queue.
+		exhausted, expired := false, false
+		var exhaustedSeq uint32
+		for i := range p.inflight {
+			e := &p.inflight[i]
+			if e.deadline > now {
+				continue
+			}
+			expired = true
+			e.attempts++
+			if e.attempts > d.cfg.RelMaxAttempts {
+				exhausted, exhaustedSeq = true, e.seq
+				break
+			}
+			e.rto = min(e.rto*2, relRTOMax)
+			e.deadline = now + e.rto
+			// Refresh the piggybacked ack in place: the queue holds the
+			// only live reference to these bytes after the initial
+			// transmission.
+			binary.LittleEndian.PutUint32(e.wb.b[11:15], p.cumSeq)
+			p.lastAck = p.cumSeq
+			p.ackPending = false
+			d.retransmits.Add(1)
+			h.writeFrame(to, e.wb.b)
 		}
-		for to := 0; to < r.ranks; to++ {
-			p := r.pair(from, to)
-			p.mu.Lock()
-			if p.down {
-				// Down pair. Parked (healable) queues must not retransmit
-				// into the partition — healPair re-arms them; released
-				// queues are empty anyway.
-				p.mu.Unlock()
-				continue
+		if expired {
+			d.rtoExpirations.Add(1)
+			if p.sendAcked >= p.recoverSeq {
+				// First loss signal since the last decrease took effect:
+				// halve, then ignore further expiries until the peer acks
+				// past everything currently assigned.
+				old := p.cwnd
+				p.cwnd = max(p.cwnd/2, d.cfg.RelWindowMin)
+				p.recoverSeq = p.nextSeq
+				d.windowShrinks.Add(1)
+				d.emit(obs.EvWindowShrink, h.rank, to, int64(old), int64(p.cwnd))
 			}
-			// Deadlines are not sorted once backoff diverges, so scan the
-			// whole (window-bounded) queue.
-			exhausted := false
-			var exhaustedSeq uint32
-			expired := false
-			for i := range p.inflight {
-				e := &p.inflight[i]
-				if e.deadline > now {
-					continue
-				}
-				expired = true
-				e.attempts++
-				if e.attempts > r.maxAttempts {
-					// Budget spent: the peer is dead or partitioned.
-					// Declare it down — pending operations fail with
-					// ErrPeerUnreachable through the liveness sweep, and
-					// the job decides what to do.
-					exhausted = true
-					exhaustedSeq = e.seq
-					break
-				}
-				e.rto *= 2
-				if e.rto > relRTOMax {
-					e.rto = relRTOMax
-				}
-				e.deadline = now + e.rto
-				// Refresh the piggybacked ack in place: the queue holds
-				// the only live reference to these bytes after the
-				// initial transmission.
-				binary.LittleEndian.PutUint32(e.wb.b[11:15], p.cumSeq)
-				p.lastAck = p.cumSeq
-				p.ackPending = false
-				d.retransmits.Add(1)
-				d.writeFrame(from, to, e.wb.b)
-			}
-			if expired {
-				d.rtoExpirations.Add(1)
-				if p.sendAcked >= p.recoverSeq {
-					// First loss signal since the last decrease took
-					// effect: halve, then ignore further expiries until
-					// the peer acks past everything currently assigned.
-					old := p.cwnd
-					p.cwnd /= 2
-					if p.cwnd < r.windowMin {
-						p.cwnd = r.windowMin
-					}
-					p.recoverSeq = p.nextSeq
-					d.windowShrinks.Add(1)
-					d.emit(obs.EvWindowShrink, from, to, int64(old), int64(p.cwnd))
-				}
-			}
-			shedBurst := p.shedRecent >= relShedSuspect
-			p.shedRecent = 0
-			if exhausted {
-				p.mu.Unlock()
-				d.retransmitExhausted.Add(1)
-				d.emit(obs.EvRetransmitExhausted, from, to, int64(exhaustedSeq), 0)
-				r.lv.markDown(from, to, causeNet) // parks or drains the queue
-				continue
-			}
-			if shedBurst {
-				// The receive half of pair (from, to) is the to→from
-				// stream: rank `from` is being flooded by rank `to`
-				// faster than it can deliver. That is a health signal
-				// about `to`, not just an accounting line.
-				r.lv.markSuspect(from, to)
-			}
-			if p.ackPending && now-p.ackSince >= p.ackDelay {
-				ack := p.cumSeq
-				p.ackPending = false
-				p.lastAck = ack
-				p.mu.Unlock()
-				r.sendAck(from, to, ack)
-				continue
-			}
-			p.mu.Unlock()
+		}
+		shedBurst := p.shedRecent >= relShedSuspect
+		p.shedRecent = 0
+		switch {
+		case exhausted:
+			d.retransmitExhausted.Add(1)
+			d.emit(obs.EvRetransmitExhausted, h.rank, to, int64(exhaustedSeq), 0)
+			h.transition(p, to, event{kind: evExhausted})
+		case shedBurst:
+			h.transition(p, to, event{kind: evShedBurst})
+		}
+		if !exhausted && p.ackPending && now-p.ackSince >= p.ackDelay {
+			ackDue, ack = true, p.cumSeq
+			p.ackPending = false
+			p.lastAck = ack
 		}
 	}
+	if beat {
+		fx = h.transition(p, to, event{kind: evRound, n: round})
+		// Announcement is retried until the proof of readmission arrives:
+		// a cumulative ack covering any sequenced frame this incarnation
+		// sent (the peer's incarnation gate would have dropped it
+		// otherwise).
+		joining = r.rejoin && p.lc.state != peerDown && p.sendAcked == 0
+	}
+	p.mu.Unlock()
+
+	if ackDue {
+		r.sendAck(h, to, ack)
+	}
+	if joining {
+		d.joinsSent.Add(1)
+		h.writeFrame(to, r.joinFrame)
+	}
+	h.sendProbes(to, fx)
+	return joining
 }
 
-// releasePair marks the from→to send stream down and releases its
-// retransmission queue: the peer will never ack, so retaining the buffers
-// (and the window slots) would stall senders and leak arena capacity.
-func (r *reliability) releasePair(from, to int) {
-	p := r.pair(from, to)
-	p.mu.Lock()
-	p.down = true
+// releaseInflight returns the retransmission queue's buffers to the arena
+// — the terminal-death half of a transition: the peer will never ack, so
+// retaining them (and the window slots) would stall senders and leak
+// arena capacity. Caller holds p.mu.
+func (p *peer) releaseInflight() {
 	for i := range p.inflight {
 		p.inflight[i].wb.release()
 		p.inflight[i] = relEntry{}
 	}
 	p.inflight = p.inflight[:0]
-	p.mu.Unlock()
 }
 
-// parkPair marks the from→to send stream down WITHOUT releasing its
-// retransmission queue — the healable-death half of markDown
-// (liveness.go). The in-flight entries keep their sequence numbers and
-// buffers: they were assigned seqs the receiver's cumulative stream still
-// expects, so releasing them would leave gaps no retransmission could
-// ever close after a heal. While parked, trySeal drops new sends (no new
-// seqs are assigned — no new gaps), the sweep skips the pair (nothing
-// retransmits into the partition), and window-blocked senders drain out
-// exactly as with releasePair. If the peer turns out to be truly gone,
-// Close's drainState returns the parked buffers to the arena.
-func (r *reliability) parkPair(from, to int) {
-	p := r.pair(from, to)
-	p.mu.Lock()
-	p.down = true
-	p.mu.Unlock()
-}
-
-// healPair re-arms a parked pair — the reliability half of liveness.heal,
-// called under its mmu with the pair still marked down. Every parked
-// entry is reset to a fresh first attempt (backoff cleared, RTO from the
-// estimator, deadline now) so the next ticker sweep retransmits it
-// immediately: the first post-heal exchange costs O(srtt), not the
-// clamped RTO the entries had backed off to when the partition hit.
-// recoverSeq moves past everything parked so those forced expiries are
-// not misread as fresh congestion, and the window restarts from the AIMD
-// floor — the path just proved it can vanish; probe conservatively.
-// Estimator state (srtt/rttvar/rto) survives: the pre-partition path is
-// the best guess for the post-heal one. The receive half needs nothing:
-// cumSeq/reorder kept parity with everything actually delivered.
+// rearm restarts a parked retransmission queue — the heal half of a
+// transition. Every parked entry is reset to a fresh first attempt
+// (backoff cleared, RTO from the estimator, deadline now) so the next
+// ticker pass retransmits it immediately: the first post-heal exchange
+// costs O(srtt), not the clamped RTO the entries had backed off to when
+// the partition hit. recoverSeq moves past everything parked so those
+// forced expiries are not misread as fresh congestion, and the window
+// restarts from the AIMD floor — the path just proved it can vanish; probe
+// conservatively. Estimator state (srtt/rttvar/rto) survives: the
+// pre-partition path is the best guess for the post-heal one. The receive
+// half needs nothing: cumSeq/reorder kept parity with everything actually
+// delivered. Caller holds p.mu.
 //
 // Note the delivered-late consequence: parked frames whose operations
 // were already failed by the down sweep still retransmit and execute at
@@ -846,9 +840,7 @@ func (r *reliability) parkPair(from, to int) {
 // maybe-after-failure semantics a deadline expiry already has — the
 // completion cookie died with the op, so the late ack is a counted
 // badCookieDrop, not a double completion.
-func (r *reliability) healPair(from, to int) {
-	p := r.pair(from, to)
-	p.mu.Lock()
+func (p *peer) rearm(windowMin int) {
 	now := clockNow()
 	for i := range p.inflight {
 		e := &p.inflight[i]
@@ -856,52 +848,36 @@ func (r *reliability) healPair(from, to int) {
 		e.rto = p.rto
 		e.deadline = now
 	}
-	p.cwnd = r.windowMin
+	p.cwnd = windowMin
 	p.recoverSeq = p.nextSeq
-	p.down = false
 	p.bpBlocked = false
-	p.mu.Unlock()
 }
 
-// resetPair returns the from↔to pair to its just-constructed state — both
-// halves: the send stream (sequence counter, retransmission queue,
-// RTT/RTO estimator, AIMD window) and the receive stream (cumulative
-// sequence, reorder buffer, ack pacing). Called on peer readmission
-// (liveness.go): the restarted peer starts its streams from scratch, so
-// any surviving state on our side — a cumSeq the new incarnation never
-// sent, an estimator tuned to the dead process — would silently
-// dup-drop or misclock the fresh streams. Both sides reset coherently:
-// the joiner's state is fresh by construction, the survivor resets here.
-func (r *reliability) resetPair(from, to int) {
-	p := r.pair(from, to)
-	p.mu.Lock()
-	for i := range p.inflight {
-		p.inflight[i].wb.release()
-		p.inflight[i] = relEntry{}
-	}
-	p.inflight = p.inflight[:0]
+// reset returns both streams to their just-constructed state: the send
+// stream (sequence counter, retransmission queue, RTT/RTO estimator, AIMD
+// window — full: shrink on evidence of loss, like TCP's initial cwnd being
+// generous on a known-short path) and the receive stream (cumulative
+// sequence, reorder buffer, ack pacing). It seeds a new record, and it is
+// the readmission half of a transition: the restarted peer starts its
+// streams from scratch, so any surviving state on our side — a cumSeq the
+// new incarnation never sent, an estimator tuned to the dead process —
+// would silently dup-drop or misclock the fresh streams. Both sides reset
+// coherently: the joiner's state is fresh by construction, the survivor
+// resets here. Caller holds p.mu (or is the only one who can reach p).
+func (p *peer) reset(window int) {
+	p.releaseInflight()
 	for seq, wb := range p.reorder {
 		wb.release()
 		delete(p.reorder, seq)
 	}
-	p.nextSeq = 0
-	p.srtt = 0
-	p.rttvar = 0
-	p.rto = relRTO
-	p.cwnd = r.window
-	p.sendAcked = 0
-	p.recoverSeq = 0
-	p.cumSeq = 0
-	p.lastAck = 0
-	p.reorderBytes = 0
-	p.shedRecent = 0
-	p.ackPending = false
-	p.ackSince = 0
-	p.ackDelay = relAckDelay
+	p.streams = streams{
+		inflight: p.inflight,
+		reorder:  p.reorder,
+		rto:      relRTO,
+		cwnd:     window,
+		ackDelay: relAckDelay,
+	}
 	p.ackHint.Store(false)
-	p.down = false
-	p.bpBlocked = false
-	p.mu.Unlock()
 }
 
 // shutdown stops the ticker (idempotent) and marks the layer closed so
@@ -918,19 +894,12 @@ func (r *reliability) shutdown() {
 // reorder buffers. Called after the ticker and the socket readers have
 // stopped, so no concurrent access remains.
 func (r *reliability) drainState() {
-	for i := range r.pairs {
-		p := &r.pairs[i]
-		p.mu.Lock()
-		for j := range p.inflight {
-			p.inflight[j].wb.release()
-			p.inflight[j] = relEntry{}
+	for _, h := range r.d.udp.hosts {
+		for i := range h.peers {
+			p := &h.peers[i]
+			p.mu.Lock()
+			p.reset(r.d.cfg.RelWindow)
+			p.mu.Unlock()
 		}
-		p.inflight = p.inflight[:0]
-		for seq, wb := range p.reorder {
-			wb.release()
-			delete(p.reorder, seq)
-		}
-		p.reorderBytes = 0
-		p.mu.Unlock()
 	}
 }

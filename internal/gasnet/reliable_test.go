@@ -207,6 +207,14 @@ func TestReliableWindowBounds(t *testing.T) {
 		Ranks: 2, Conduit: UDP, Fault: &FaultConfig{Seed: 1, Drop: 1.0},
 	})
 	ep0 := d.Endpoint(0)
+	// Pin the RTO at its ceiling: at the initial 5 ms, a fill that takes
+	// longer than that (the race detector on a loaded host) sees its first
+	// expiry halve the window mid-fill, and this goroutine blocks instead
+	// of the one below.
+	p := d.peer(0, 1)
+	p.mu.Lock()
+	p.rto = relRTOMax
+	p.mu.Unlock()
 	for i := 0; i < relWindow; i++ {
 		ep0.Send(1, Msg{Handler: HandlerUserBase, A0: uint64(i)})
 	}

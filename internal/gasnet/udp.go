@@ -128,20 +128,44 @@ func (c seqConn) ReadBatch(views [][]byte, sizes []int) (int, error) {
 	return 1, nil
 }
 
+// host is one rank this process hosts: its socket, its down-epoch and its
+// row of peer records — everything the process keeps per hosted rank. An
+// in-process world has one per rank, a multiproc world exactly one (Self);
+// every loop over "our" ranks is a loop over udpTransport.hosts, and a
+// send "from" a rank hosted elsewhere is a bug the nil Endpoint.host makes
+// loud.
+type host struct {
+	rank int
+	ep   *Endpoint
+	conn *net.UDPConn
+	// send is the write path: always the fault shim (fault.go) wrapping
+	// the batch-capable socket adapter — idle it forwards behind one
+	// atomic load, armed it is the deterministic network model. read is
+	// the unwrapped adapter (the shim injects on the send side only).
+	send *faultConn
+	read batchConn
+
+	// epoch increments whenever some peer of this rank is declared down;
+	// the rank goroutine compares it against its last-seen value in Poll
+	// and sweeps its op table on change (domain.go).
+	epoch atomic.Uint32
+
+	// peers[r] is this rank's record of rank r (reliable.go), its own
+	// slot included: self-sends loop through the socket like any other.
+	peers []peer
+
+	// hbFrame is this rank's prebuilt heartbeat, and the prefix of its
+	// probes and goodbyes.
+	hbFrame [hbFrameLen]byte
+}
+
 // udpTransport is the per-domain socket state for the UDP conduit.
 type udpTransport struct {
-	conns []*net.UDPConn
-	// send is the per-rank write path: always the fault shim (fault.go)
-	// wrapping the batch-capable socket adapter — idle it forwards behind
-	// one atomic load, armed it is the deterministic network model.
-	send []packetConn
-	// read is the per-rank read path: always the unwrapped batch adapter
-	// (the fault shim injects on the send side only).
-	read []batchConn
-	// addrs holds each rank's socket address behind an atomic pointer:
-	// readmission (liveness.go) rewrites a restarted peer's slot — it
-	// bound a fresh socket — while send paths are concurrently loading
-	// it. Access through addrOf/setAddr.
+	hosts []*host
+	// addrs holds every rank's socket address — world-wide, hosted here or
+	// not — behind an atomic pointer: readmission (liveness.go) rewrites a
+	// restarted peer's slot — it bound a fresh socket — while send paths
+	// are concurrently loading it. Access through addrOf/setAddr.
 	addrs []atomic.Pointer[netip.AddrPort]
 	wg    sync.WaitGroup
 
@@ -162,38 +186,45 @@ func (tr *udpTransport) addrOf(to int) netip.AddrPort { return *tr.addrs[to].Loa
 // and again when a restarted peer announces its fresh socket.
 func (tr *udpTransport) setAddr(to int, a netip.AddrPort) { tr.addrs[to].Store(&a) }
 
-// initUDP builds the socket transport for the ranks this process hosts,
-// then the failure detector and the reliability layer, then starts one
-// reader goroutine per hosted socket. An in-process world hosts every rank
-// and binds a fresh loopback socket for each; a multiproc world hosts only
-// Self, on the socket the bootstrap exchange (internal/boot) bound before
-// publishing its address, and learns every rank's address from
-// Config.Peers. Everything above the socket is the same in both — what a
-// multiproc world changes is the locality model (Config.NodeOf). The
-// rank-indexed slices keep their full length either way, since the send
-// path indexes them by rank: a send "from" a rank hosted elsewhere is a
-// bug the nil dereference makes loud. newConn picks the socket adapter
-// (newBatchConn outside tests).
+// initUDP builds a host for every rank this process hosts, then the
+// reliability ticker, then starts one reader goroutine per hosted socket.
+// An in-process world hosts every rank and binds a fresh loopback socket
+// for each; a multiproc world hosts only Self, on the socket the bootstrap
+// exchange (internal/boot) bound before publishing its address, and learns
+// every rank's address from Config.Peers. Everything above the socket is
+// the same in both — what a multiproc world changes is the locality model
+// (Config.NodeOf). newConn picks the socket adapter (newBatchConn outside
+// tests).
 func (d *Domain) initUDP(newConn func(*net.UDPConn, *Domain) batchConn) error {
 	n := d.cfg.Ranks
-	tr := &udpTransport{
-		conns: make([]*net.UDPConn, n),
-		send:  make([]packetConn, n),
-		read:  make([]batchConn, n),
-		addrs: make([]atomic.Pointer[netip.AddrPort], n),
-	}
-	first, end := 0, n
-	if d.cfg.Multiproc {
-		first, end = d.cfg.Self, d.cfg.Self+1
-		for r, a := range d.cfg.Peers {
-			tr.setAddr(r, a)
-		}
+	tr := &udpTransport{addrs: make([]atomic.Pointer[netip.AddrPort], n)}
+	d.udp = tr
+	for r, a := range d.cfg.Peers {
+		tr.setAddr(r, a)
 	}
 	var fault FaultConfig
 	if d.cfg.Fault != nil {
 		fault = *d.cfg.Fault
 	}
-	for r := first; r < end; r++ {
+	// Everyone registered under the same epoch at the initial barrier, so
+	// the whole world shares one incarnation until somebody restarts — but
+	// a restarted rank cannot assume anything about who else restarted
+	// while it was gone: every peer incarnation starts unknown (0) and is
+	// adopted from the first frame heard.
+	hb := int64(d.cfg.HeartbeatEvery)
+	fresh := lifecycle{
+		inc:          d.inc,
+		suspectAfter: roundsFor(int64(d.cfg.SuspectAfter), hb),
+		downAfter:    roundsFor(int64(d.cfg.DownAfter), hb),
+	}
+	fresh.downAfter = max(fresh.downAfter, fresh.suspectAfter+1)
+	if d.cfg.Rejoin {
+		fresh.inc = 0
+	}
+	for r := 0; r < n; r++ {
+		if d.cfg.Multiproc && r != d.cfg.Self {
+			continue // another process hosts it
+		}
 		conn := d.cfg.SelfConn
 		if !d.cfg.Multiproc {
 			var err error
@@ -204,7 +235,6 @@ func (d *Domain) initUDP(newConn func(*net.UDPConn, *Domain) batchConn) error {
 			}
 			tr.setAddr(r, conn.LocalAddr().(*net.UDPAddr).AddrPort())
 		}
-		tr.conns[r] = conn
 		// A generous receive buffer: collective fan-ins burst many small
 		// datagrams at one socket — in a multiproc world the whole world's
 		// traffic toward this rank — and loopback UDP drops on overflow.
@@ -214,25 +244,37 @@ func (d *Domain) initUDP(newConn func(*net.UDPConn, *Domain) batchConn) error {
 				"bursty collectives may drop datagrams on this host", err)
 		}
 		bc := newConn(conn, d)
-		// The fault shim is ALWAYS interposed: idle it costs one atomic
-		// load per write, and it is what lets tests and scenarios arm
-		// faults, partitions, and latency mid-run (SetFault et al.).
-		tr.send[r] = newFaultConn(bc, fault, r, d)
-		tr.read[r] = bc
+		h := &host{
+			rank: r, ep: d.eps[r], conn: conn, read: bc,
+			// The fault shim is ALWAYS interposed: idle it costs one atomic
+			// load per write, and it is what lets tests and scenarios arm
+			// faults, partitions, and latency mid-run (SetFault et al.).
+			send:    newFaultConn(bc, fault, r, d),
+			peers:   make([]peer, n),
+			hbFrame: hbFrameFor(r, d.inc),
+		}
+		for i := range h.peers {
+			p := &h.peers[i]
+			p.lc = fresh
+			if i == r {
+				p.lc.inc = d.inc // our own frames are current exactly under our own incarnation
+			}
+			p.inc.Store(p.lc.inc)
+			p.reset(d.cfg.RelWindow)
+		}
+		d.eps[r].host = h
+		tr.hosts = append(tr.hosts, h)
 	}
-	d.udp = tr
 	if err := d.armScenarioFromEnv(); err != nil {
 		tr.close()
 		return err
 	}
-	// Both halves are in place before the ticker starts: its sweep reaches
-	// the detector (exhaustion → markDown) and the detector reaches back
-	// into the reliability layer (park/release/heal the pair).
-	d.lv = newLiveness(d, clockRefresh())
-	d.rel = newReliability(d)
+	// Every row is in place before the ticker and the readers start: both
+	// step peer records from their first iteration.
+	d.rel = newReliability(d, clockRefresh())
 	go d.rel.run()
-	for r := first; r < end; r++ {
-		d.startReader(tr, d.eps[r], tr.read[r])
+	for _, h := range tr.hosts {
+		d.startReader(tr, h.ep, h.read)
 	}
 	return nil
 }
@@ -310,14 +352,14 @@ func (d *Domain) receiveDatagram(ep *Endpoint, wb *wireBuf) {
 		from = int(binary.LittleEndian.Uint16(b[1:3]))
 		inc = binary.LittleEndian.Uint32(b[3:7])
 	}
+	h := ep.host
 	switch b[0] {
 	case frameHB:
-		// Heartbeats count as hearing from the peer only when they carry
-		// its current incarnation — a dead process's heartbeats lingering
-		// in a socket buffer must not keep its ghost alive (checkInc
-		// counts and drops them).
-		if len(b) >= hbFrameLen && from < d.cfg.Ranks && d.lv.checkInc(ep.rank, from, inc) {
-			d.lv.heard(ep.rank, from)
+		// A heartbeat counts as hearing from the peer only when it carries
+		// the peer's current incarnation — a dead process's heartbeats
+		// lingering in a socket buffer must not keep its ghost alive.
+		if len(b) >= hbFrameLen && from < d.cfg.Ranks && from != ep.rank {
+			h.deliver(from, event{kind: evHeartbeat, inc: inc})
 		}
 	case frameBye:
 		// A peer announced its graceful departure: declare it Down now
@@ -325,18 +367,19 @@ func (d *Domain) receiveDatagram(ep *Endpoint, wb *wireBuf) {
 		// self-referential frames are dropped — wire input is untrusted —
 		// and so is a bye stamped with a dead incarnation, which would
 		// otherwise bury the peer's restarted successor.
-		if len(b) >= byeFrameLen && from < d.cfg.Ranks && from != ep.rank &&
-			d.lv.checkInc(ep.rank, from, inc) {
-			d.lv.markDown(ep.rank, from, causeBye)
+		if len(b) >= byeFrameLen && from < d.cfg.Ranks && from != ep.rank {
+			h.deliver(from, event{kind: evBye, inc: inc})
 		}
 	case frameProbe:
 		// A partition probe (or its ack): authentic same-incarnation
-		// traffic from a peer we may have declared dead. Deliberately NOT
-		// gated by checkInc — a Down peer's frames are exactly what a
-		// probe authenticates — handleProbe carries its own incarnation
-		// gate and heals or acks as appropriate.
-		if len(b) >= probeFrameLen && from < d.cfg.Ranks {
-			d.lv.handleProbe(ep.rank, from, inc, b[7])
+		// traffic from a peer we may have declared dead — which is why the
+		// lifecycle gates probes separately from everything else.
+		if len(b) >= probeFrameLen && from < d.cfg.Ranks && from != ep.rank {
+			kind := evProbe
+			if b[7] != probeKindProbe {
+				kind = evProbeAck
+			}
+			h.deliver(from, event{kind: kind, inc: inc})
 		}
 	case frameJoin:
 		// A restarted peer announcing its new incarnation and socket.
@@ -350,7 +393,7 @@ func (d *Domain) receiveDatagram(ep *Endpoint, wb *wireBuf) {
 			} else if addr, err := netip.ParseAddrPort(string(b[joinFrameMin : joinFrameMin+alen])); err != nil {
 				d.decodeErrors.Add(1)
 			} else {
-				d.lv.handleJoin(ep.rank, from, inc, addr)
+				h.deliver(from, event{kind: evJoin, inc: inc, addr: addr})
 			}
 		}
 	default:
@@ -468,16 +511,16 @@ func (d *Domain) sendUDP(from, to int, m *Msg) {
 	}
 	wb := d.arena.get(need)
 	wb.b = appendMsg(append(wb.b[:relHeaderLen], frameSingle), m)
-	d.rel.send(from, to, wb)
+	d.rel.send(d.eps[from].host, to, wb)
 	wb.release()
 }
 
 // writeFrame puts one frame on the wire — a retransmission, a standalone
 // ack or a control frame, each of which keeps its own counter, or a first
 // transmission that reliability.send already counted in DatagramsSent.
-func (d *Domain) writeFrame(from, to int, frame []byte) {
-	conn := d.udp.send[from]
-	if _, err := conn.WriteToUDPAddrPort(frame, d.udp.addrOf(to)); err != nil {
+func (h *host) writeFrame(to int, frame []byte) {
+	d := h.ep.dom
+	if _, err := h.send.WriteToUDPAddrPort(frame, d.udp.addrOf(to)); err != nil {
 		if errors.Is(err, net.ErrClosed) {
 			return // racing shutdown; message loss is fine post-Close
 		}
@@ -491,9 +534,10 @@ func (d *Domain) writeFrame(from, to int, frame []byte) {
 // writeBatch counts and ships a set of staged first-transmission
 // datagrams through the sender's vectorized write path — one sendmmsg on
 // capable platforms, however many frames are staged.
-func (d *Domain) writeBatch(from int, frames []batchFrame) {
+func (h *host) writeBatch(frames []batchFrame) {
+	d := h.ep.dom
 	d.datagramsSent.Add(int64(len(frames)))
-	if err := d.udp.send[from].WriteBatch(frames); err != nil {
+	if err := h.send.WriteBatch(frames); err != nil {
 		if errors.Is(err, net.ErrClosed) || d.udp.isClosed() {
 			return // racing shutdown; message loss is fine post-Close
 		}
@@ -583,7 +627,7 @@ func (ep *Endpoint) stageDest(to int) {
 	}
 	spin := 0
 	for {
-		ok, full := d.rel.trySeal(ep.rank, to, wb)
+		ok, full := d.rel.trySeal(ep.host, to, wb)
 		if ok {
 			break
 		}
@@ -614,7 +658,7 @@ func (ep *Endpoint) flushStaged() {
 	if len(ep.sendq) == 0 {
 		return
 	}
-	ep.dom.writeBatch(ep.rank, ep.sendq)
+	ep.host.writeBatch(ep.sendq)
 	for i := range ep.sendq {
 		ep.sendq[i].wb.release()
 		ep.sendq[i] = batchFrame{}
@@ -686,10 +730,8 @@ func (tr *udpTransport) close() {
 	}
 	tr.closed = true
 	tr.mu.Unlock()
-	for _, c := range tr.conns {
-		if c != nil {
-			c.Close()
-		}
+	for _, h := range tr.hosts {
+		h.conn.Close()
 	}
 	tr.wg.Wait()
 }
@@ -703,16 +745,14 @@ func (d *Domain) sendBye() {
 	if !d.cfg.Multiproc || d.udp.isClosed() {
 		return
 	}
-	self := d.cfg.Self
-	var frame [byeFrameLen]byte
+	h := d.eps[d.cfg.Self].host
+	frame := h.hbFrame
 	frame[0] = frameBye
-	binary.LittleEndian.PutUint16(frame[1:3], uint16(self))
-	binary.LittleEndian.PutUint32(frame[3:7], d.inc)
-	for to := 0; to < d.cfg.Ranks; to++ {
-		if to == self || d.lv.down(self, to) {
+	for to := range h.peers {
+		if to == h.rank || h.peers[to].state.Load() == peerDown {
 			continue
 		}
-		d.writeFrame(self, to, frame[:])
+		h.writeFrame(to, frame[:])
 	}
 }
 

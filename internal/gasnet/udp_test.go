@@ -136,10 +136,15 @@ func TestUnsequencedFrameDropped(t *testing.T) {
 			ran := 0
 			d.RegisterHandler(HandlerUserBase, func(*Endpoint, *Msg) { ran++ })
 			ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
-			heard := &d.lv.heardRound[d.lv.idx(1, 0)]
-			d.lv.round.Store(5)
+			d.eps[1].host.deliver(0, event{kind: evRound, n: 5})
+			p := d.peer(1, 0)
+			heardRound := func() int64 {
+				p.mu.Lock()
+				defer p.mu.Unlock()
+				return p.lc.heardRound
+			}
 
-			if _, err := d.udp.send[0].WriteToUDPAddrPort(bare, d.udp.addrOf(1)); err != nil {
+			if _, err := d.eps[0].host.send.WriteToUDPAddrPort(bare, d.udp.addrOf(1)); err != nil {
 				t.Fatal(err)
 			}
 			deadline := time.Now().Add(2 * time.Second)
@@ -152,7 +157,7 @@ func TestUnsequencedFrameDropped(t *testing.T) {
 			if n := d.Stats().DecodeErrors; n != 1 {
 				t.Fatalf("DecodeErrors = %d, want 1", n)
 			}
-			if r := heard.Load(); r != 0 {
+			if r := heardRound(); r != 0 {
 				t.Errorf("bare frame refreshed heardRound to %d", r)
 			}
 
@@ -160,8 +165,8 @@ func TestUnsequencedFrameDropped(t *testing.T) {
 			for ran == 0 && time.Now().Before(deadline) {
 				ep1.Poll()
 			}
-			if ran != 1 || heard.Load() != 5 {
-				t.Errorf("sequenced control: ran %d (want 1), heardRound %d (want 5)", ran, heard.Load())
+			if ran != 1 || heardRound() != 5 {
+				t.Errorf("sequenced control: ran %d (want 1), heardRound %d (want 5)", ran, heardRound())
 			}
 		})
 	}

@@ -196,6 +196,9 @@ func (w *World) writeMetrics(out io.Writer) {
 		p.Meta("gupcxx_flow_inflight_bytes", "bytes retained in the retransmission queue", "gauge")
 		p.Meta("gupcxx_flow_reorder_bytes", "bytes parked out-of-order on the receive side", "gauge")
 		for local := 0; local < ranks; local++ {
+			if w.ranks[local] == nil {
+				continue // another process's rank: its view is its own to export
+			}
 			for peer := 0; peer < ranks; peer++ {
 				if peer == local {
 					continue
@@ -249,8 +252,9 @@ func peerStateValue(s string) int64 {
 }
 
 // debugSnapshot assembles the /debug/gupcxx JSON document: identity,
-// counters, the liveness matrix, per-pair flow state, recent events, and
-// sampled rates. Same race-safety story as writeMetrics.
+// counters, the liveness matrix and per-pair flow state of the ranks this
+// process hosts, recent events, and sampled rates. Same race-safety story
+// as writeMetrics.
 func (w *World) debugSnapshot() any {
 	ranks := len(w.ranks)
 	ops := w.mirrorOps()
@@ -275,8 +279,13 @@ func (w *World) debugSnapshot() any {
 		subDoc[c.Name] = c.Value
 	}
 
+	// Rows of ranks this process hosts only (a multiproc world's other
+	// rows stay null): their views live in their own processes.
 	liveness := make([][]string, ranks)
 	for local := 0; local < ranks; local++ {
+		if w.ranks[local] == nil {
+			continue
+		}
 		liveness[local] = make([]string, ranks)
 		for peer := 0; peer < ranks; peer++ {
 			liveness[local][peer] = w.dom.LivenessState(local, peer)
@@ -297,6 +306,9 @@ func (w *World) debugSnapshot() any {
 	var flows []flowRow
 	if w.dom.Config().Conduit == UDP {
 		for local := 0; local < ranks; local++ {
+			if w.ranks[local] == nil {
+				continue
+			}
 			for peer := 0; peer < ranks; peer++ {
 				if peer == local {
 					continue

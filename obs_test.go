@@ -9,8 +9,10 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
+	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -217,6 +219,77 @@ func TestMetricsHandlerHTTPTest(t *testing.T) {
 	resp.Body.Close()
 	if snap["conduit"] != "pshm" {
 		t.Errorf("snapshot conduit = %v", snap["conduit"])
+	}
+}
+
+// TestMetricsMultiprocOwnRowsOnly: a rank of a process-per-rank world
+// holds only its own view of its peers, so that is all it may export. Two
+// process-shaped worlds on bound loopback sockets, inside this one test
+// process; rank 0's scrape must carry no series, liveness row or flow row
+// on behalf of rank 1 — a scrape of the whole world would otherwise see an
+// invented copy of every per-pair series beside the real one.
+func TestMetricsMultiprocOwnRowsOnly(t *testing.T) {
+	defer leakCheck(t)()
+	const n = 2
+	conns := make([]*net.UDPConn, n)
+	peers := make([]netip.AddrPort, n)
+	for i := range conns {
+		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		conns[i] = c
+		peers[i] = c.LocalAddr().(*net.UDPAddr).AddrPort()
+	}
+	worlds := make([]*gupcxx.World, n)
+	for i := range worlds {
+		w, err := gupcxx.NewWorld(gupcxx.Config{
+			Ranks: n, Conduit: gupcxx.UDP, SegmentBytes: 1 << 12,
+			Multiproc: true, Self: i, Peers: peers, SelfConn: conns[i],
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer w.Close()
+		worlds[i] = w
+	}
+
+	ts := httptest.NewServer(worlds[0].MetricsHandler())
+	defer ts.Close()
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	body := string(raw)
+	if !strings.Contains(body, `gupcxx_peer_state{rank="0",peer="1"}`) ||
+		!strings.Contains(body, `gupcxx_flow_window{rank="0",peer="1"}`) {
+		t.Errorf("rank 0's own row missing from its scrape:\n%.400s", body)
+	}
+	if strings.Contains(body, `rank="1"`) {
+		t.Error("rank 0 exports series on behalf of rank 1, which another process hosts")
+	}
+
+	resp, err = http.Get(ts.URL + "/debug/gupcxx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var snap struct {
+		Liveness [][]string `json:"liveness"`
+		Flows    []struct {
+			Rank int `json:"rank"`
+		} `json:"flows"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&snap); err != nil {
+		t.Fatalf("debug snapshot is not JSON: %v", err)
+	}
+	resp.Body.Close()
+	if len(snap.Liveness) != n || len(snap.Liveness[0]) != n || snap.Liveness[1] != nil {
+		t.Errorf("liveness = %v, want rank 0's row and a null row for rank 1", snap.Liveness)
+	}
+	if len(snap.Flows) != 1 || snap.Flows[0].Rank != 0 {
+		t.Errorf("flows = %+v, want exactly rank 0's one directed pair", snap.Flows)
 	}
 }
 

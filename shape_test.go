@@ -17,8 +17,10 @@ import (
 )
 
 // timePerOp measures the best-of-5 mean time per operation of fn(iter
-// count) on rank 0 of a two-rank world.
-func timePerOp(t *testing.T, cfg gupcxx.Config, iters int, fn func(r *gupcxx.Rank, tgt gupcxx.GlobalPtr[uint64], n int)) time.Duration {
+// count) on rank 0 of a two-rank world, and returns the world's
+// op-lifecycle counters with it, so a shape test can assert the mechanism
+// behind a timing by count.
+func timePerOp(t *testing.T, cfg gupcxx.Config, iters int, fn func(r *gupcxx.Rank, tgt gupcxx.GlobalPtr[uint64], n int)) (time.Duration, gupcxx.OpStats) {
 	t.Helper()
 	w, err := gupcxx.NewWorld(cfg)
 	if err != nil {
@@ -43,7 +45,7 @@ func timePerOp(t *testing.T, cfg gupcxx.Config, iters int, fn func(r *gupcxx.Ran
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stats.Summarize(samples, 3).TopKMean / time.Duration(iters)
+	return stats.Summarize(samples, 3).TopKMean / time.Duration(iters), w.OpStats()
 }
 
 // minSpeedup is the eager-vs-defer ratio the wall-clock shape tests
@@ -57,6 +59,10 @@ func minSpeedup() float64 {
 	}
 	return 2
 }
+
+// timedOps is how many operations timePerOp has fn issue in all: the
+// warm-up pass plus five timed ones.
+func timedOps(iters int) int64 { return int64(iters/5 + 1 + 5*iters) }
 
 func putLoop(r *gupcxx.Rank, tgt gupcxx.GlobalPtr[uint64], n int) {
 	for i := 0; i < n; i++ {
@@ -76,8 +82,8 @@ func TestShapeOnNodeEagerWins(t *testing.T) {
 	eager, deferred := base, base
 	eager.Version = gupcxx.Eager2021_3_6
 	deferred.Version = gupcxx.Defer2021_3_6
-	te := timePerOp(t, eager, iters, putLoop)
-	td := timePerOp(t, deferred, iters, putLoop)
+	te, _ := timePerOp(t, eager, iters, putLoop)
+	td, _ := timePerOp(t, deferred, iters, putLoop)
 	t.Logf("on-node put: eager %v/op, defer %v/op", te, td)
 	if float64(td) < minSpeedup()*float64(te) {
 		t.Errorf("eager (%v) not ≥%.1fx faster than defer (%v) on-node", te, minSpeedup(), td)
@@ -86,6 +92,11 @@ func TestShapeOnNodeEagerWins(t *testing.T) {
 
 // TestShapeLegacyExtraAllocCosts: 2021.3.0 must be slower than
 // 2021.3.6-defer on local RMA (the allocation-elimination optimization).
+// The mechanism is asserted by count on every build — one extra
+// operation-state allocation per local RMA op under 2021.3.0, none under
+// 2021.3.6 — and the wall-clock ordering on the plain build only: one
+// 32-byte allocation is a small share of a deferred put, and under the
+// race detector the ordering of two such runs measures the scheduler.
 func TestShapeLegacyExtraAllocCosts(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test")
@@ -95,17 +106,25 @@ func TestShapeLegacyExtraAllocCosts(t *testing.T) {
 	legacy, deferred := base, base
 	legacy.Version = gupcxx.Legacy2021_3_0
 	deferred.Version = gupcxx.Defer2021_3_6
-	tl := timePerOp(t, legacy, iters, putLoop)
-	td := timePerOp(t, deferred, iters, putLoop)
-	t.Logf("on-node put: legacy %v/op, defer %v/op", tl, td)
-	if tl <= td {
+	tl, sl := timePerOp(t, legacy, iters, putLoop)
+	td, sd := timePerOp(t, deferred, iters, putLoop)
+	t.Logf("on-node put: legacy %v/op (%d extra allocations), defer %v/op (%d)",
+		tl, sl.Engine.LegacyAllocs, td, sd.Engine.LegacyAllocs)
+	if sl.Engine.LegacyAllocs != timedOps(iters) || sd.Engine.LegacyAllocs != 0 {
+		t.Errorf("extra operation-state allocations: legacy %d (want %d, one per local RMA op), 2021.3.6-defer %d (want 0)",
+			sl.Engine.LegacyAllocs, timedOps(iters), sd.Engine.LegacyAllocs)
+	}
+	if !raceEnabled && tl <= td {
 		t.Errorf("legacy (%v) should be slower than 2021.3.6-defer (%v)", tl, td)
 	}
 }
 
 // TestShapeOffNodeParity: off-node, eager and defer must be within 2× of
 // each other (the paper: statistically indistinguishable; our 1-core
-// hosts add scheduling noise, hence the loose bound).
+// hosts add scheduling noise, hence the loose bound). The mechanism is
+// asserted by count on every build: off-node nothing completes eagerly
+// under either version, and every put completes off its wire ack. The
+// wall-clock bound is asserted on the plain build only.
 func TestShapeOffNodeParity(t *testing.T) {
 	if testing.Short() {
 		t.Skip("shape test")
@@ -115,10 +134,21 @@ func TestShapeOffNodeParity(t *testing.T) {
 	eager, deferred := base, base
 	eager.Version = gupcxx.Eager2021_3_6
 	deferred.Version = gupcxx.Defer2021_3_6
-	te := timePerOp(t, eager, iters, putLoop)
-	td := timePerOp(t, deferred, iters, putLoop)
+	te, se := timePerOp(t, eager, iters, putLoop)
+	td, sd := timePerOp(t, deferred, iters, putLoop)
 	t.Logf("off-node put: eager %v/op, defer %v/op", te, td)
-	if te > 2*td || td > 2*te {
+	for _, v := range []struct {
+		name string
+		ops  gupcxx.OpStats
+	}{{"eager", se}, {"defer", sd}} {
+		early := v.ops.Ops.Of(core.OpRMA, core.PhaseEagerCompleted)
+		acked := v.ops.Ops.Of(core.OpRMA, core.PhaseWireAcked)
+		if early != 0 || acked != timedOps(iters) {
+			t.Errorf("off-node %s: %d RMA ops completed eagerly (want 0), %d off a wire ack (want %d)",
+				v.name, early, acked, timedOps(iters))
+		}
+	}
+	if !raceEnabled && (te > 2*td || td > 2*te) {
 		t.Errorf("off-node parity violated: eager %v vs defer %v", te, td)
 	}
 }
