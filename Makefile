@@ -36,7 +36,7 @@ staticcheck:
 # replays each target's seed corpus. A crasher lands under the package's
 # testdata/fuzz/ — commit it; it is then a regression seed tier-1 replays.
 FUZZ_TARGETS = \
-	./internal/gasnet:FuzzLifecycle ./internal/gasnet:FuzzDecodeMsg \
+	./internal/gasnet:FuzzLifecycle ./internal/gasnet:FuzzStreams ./internal/gasnet:FuzzDecodeMsg \
 	./internal/gasnet:FuzzDecodeDatagram ./internal/gasnet:FuzzDecodeFrameSeq \
 	.:FuzzDecodeGptr \
 	./internal/serial:FuzzDecoderNeverPanics ./internal/serial:FuzzEncodeDecodeRoundTrip
@@ -143,7 +143,7 @@ test-churn:
 # severed pair must return to Alive under the same incarnation with zero
 # readmissions. All under the race detector.
 test-partition:
-	$(GO) test -race -count 1 -run 'TestScenarioParse|TestSetFaultMidRunArming|TestLatencyInjection|TestPartition|TestAsymmetricLoss|TestHealResets' ./internal/gasnet/
+	$(GO) test -race -count 1 -run 'TestScenarioParse|TestSetFaultMidRunArming|TestLatencyInjection|TestPartition|TestAsymmetricLoss|TestHeal' ./internal/gasnet/
 	$(GO) test -race -count 1 -run 'TestMultiprocPartition' -timeout 10m .
 
 # Everything CI runs, in CI's order.

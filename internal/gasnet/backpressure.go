@@ -172,7 +172,7 @@ func (d *Domain) FlowState(local, peer int) FlowState {
 		RTO:           time.Duration(p.rto),
 		Window:        p.cwnd,
 		InFlight:      len(p.inflight),
-		ReorderBytes:  p.reorderBytes,
+		ReorderBytes:  p.parkedBytes,
 		ReorderBudget: d.cfg.RelReorderBytes,
 	}
 	for i := range p.inflight {

@@ -136,11 +136,12 @@ type Config struct {
 	// RelWindow bounds the reliability layer's per-pair in-flight
 	// (unacked) datagrams and receive-side reorder buffer. Zero selects
 	// the default (256). It is the *maximum* of the adaptive congestion
-	// window, which moves AIMD-style between RelWindowMin and this value.
+	// window, which is halved per loss episode and regrown by slow start
+	// between RelWindowMin and this value.
 	// UDP only.
 	RelWindow int
 
-	// RelWindowMin is the AIMD floor of the adaptive congestion window:
+	// RelWindowMin is the floor of the adaptive congestion window:
 	// loss signals never halve the window below this. Zero selects the
 	// default (8, clamped to RelWindow). UDP only.
 	RelWindowMin int

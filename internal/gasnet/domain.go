@@ -51,6 +51,8 @@ type Domain struct {
 
 	// Reliability-layer instrumentation (see Stats and reliable.go).
 	retransmits      atomic.Int64
+	fastRetransmits  atomic.Int64
+	sackAcks         atomic.Int64
 	dupsDropped      atomic.Int64
 	acksPiggybacked  atomic.Int64
 	acksStandalone   atomic.Int64
@@ -221,9 +223,17 @@ type Stats struct {
 	RecvBatchFrames    int64
 	SendBatchHighWater int64
 	RecvBatchHighWater int64
-	// Retransmits counts datagrams re-sent by the reliability layer after
-	// an ack deadline expired.
+	// Retransmits counts datagrams re-sent by the reliability layer: on
+	// the acks' evidence of loss, or when the retransmission timer expired.
 	Retransmits int64
+	// FastRetransmits is the subset of Retransmits the acks triggered —
+	// a frame with three SACKed frames above it, or the next hole a partial
+	// ack uncovered during recovery — sent from the socket reader without
+	// waiting for a timer. Retransmits − FastRetransmits were timer-driven.
+	FastRetransmits int64
+	// SackAcks counts standalone acks that carried a SACK bitmap: the
+	// receiver held frames parked beyond a gap.
+	SackAcks int64
 	// DupsDropped counts received datagrams suppressed as duplicates
 	// (already delivered, or already parked in the reorder buffer).
 	DupsDropped int64
@@ -316,13 +326,13 @@ type Stats struct {
 	// under the fail-fast policy, after the bounded wait under the
 	// blocking one.
 	BackpressureFails int64
-	// WindowShrinks / WindowGrows count AIMD congestion-window moves:
-	// multiplicative decreases on RTO expiry (at most one per window of
-	// loss) and additive increases on cleanly-sampled acks.
+	// WindowShrinks / WindowGrows count congestion-window moves: the
+	// one halving that opens a recovery episode (on the acks' evidence of
+	// loss or a timer expiry), and the growth on cleanly-sampled acks.
 	WindowShrinks int64
 	WindowGrows   int64
-	// RTOExpirations counts ticker sweeps in which a pair had at least one
-	// retransmission deadline expire — the estimator-level loss events, as
+	// RTOExpirations counts expiries of a pair's retransmission timer — a
+	// full RTO without ack progress — the timer-level loss events, as
 	// opposed to Retransmits, which counts datagrams re-sent.
 	RTOExpirations int64
 	// ShedBytes / ShedFrames count out-of-order frames dropped by the
@@ -368,6 +378,8 @@ func (d *Domain) Stats() Stats {
 		RecvBatchHighWater: d.recvBatchHW.Load(),
 
 		Retransmits:      d.retransmits.Load(),
+		FastRetransmits:  d.fastRetransmits.Load(),
+		SackAcks:         d.sackAcks.Load(),
 		DupsDropped:      d.dupsDropped.Load(),
 		AcksPiggybacked:  d.acksPiggybacked.Load(),
 		AcksStandalone:   d.acksStandalone.Load(),

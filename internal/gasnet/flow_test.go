@@ -136,7 +136,7 @@ func TestFlowStateLiveTraffic(t *testing.T) {
 
 // TestWindowShrinksOnLossGrowsOnRecovery: heavy loss must trip RTO
 // expirations and multiplicative decrease; healing the wire must grow the
-// window back additively. The AIMD counters make both phases observable.
+// window back. The window counters make both phases observable.
 func TestWindowShrinksOnLossGrowsOnRecovery(t *testing.T) {
 	d := newTestDomain(t, Config{
 		Ranks: 2, Conduit: UDP,
@@ -386,7 +386,7 @@ func TestReorderShedBudget(t *testing.T) {
 		d.receiveDatagram(ep1, forgeSeqFrame(d, seq, payload))
 		p := d.peer(1, 0)
 		p.mu.Lock()
-		over := p.reorderBytes > budget
+		over := p.parkedBytes > budget
 		p.mu.Unlock()
 		if over {
 			t.Fatalf("reorder buffer exceeded the %d-byte budget at seq %d", budget, seq)

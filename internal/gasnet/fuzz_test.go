@@ -94,9 +94,10 @@ func FuzzDecodeDatagram(f *testing.F) {
 }
 
 // FuzzDecodeFrameSeq drives arbitrary datagrams through the complete
-// receive path of a live reliable domain — frameSeq header parse, ack
-// processing, sequencing (deliver / park / shed / dup-drop), and the
-// inner frame walk, including truncated and overlapping batch payloads.
+// receive path of a live reliable domain — frameSeq header parse, the SACK
+// trailer, ack processing, sequencing (deliver / park / shed / dup-drop),
+// and the inner frame walk, including truncated and overlapping batch
+// payloads.
 // The contract under fuzz is counted-drop-never-panic: malformed input
 // increments DecodeErrors (or one of the drop counters) and the domain
 // keeps running — and a bare (unsequenced) frameSingle/frameBatch is one
@@ -123,6 +124,15 @@ func FuzzDecodeFrameSeq(f *testing.F) {
 	f.Add(append(hdr(0, 1, 1, 2), inner...))
 	f.Add(append(hdr(0, 1, 1<<30, 0), inner...))
 	f.Add(hdr(0, 1, 0, 99))
+	// SACK trailers on standalone acks: a bitmap naming nothing, a
+	// truncated and an oversized trailer, a bit naming a seq never sent
+	// (rank 1 has sent nothing to rank 0), and a "SACK" behind a data
+	// frame, which is just an inner frame that does not parse.
+	f.Add(append(hdr(0, 1, 0, 0), make([]byte, sackLen)...))
+	f.Add(append(hdr(0, 1, 0, 0), 1, 0, 0, 0))
+	f.Add(append(hdr(0, 1, 0, 0), make([]byte, sackLen+1)...))
+	f.Add(append(hdr(0, 1, 0, 0), 1, 0, 0, 0, 0, 0, 0, 0))
+	f.Add(append(hdr(0, 1, 1, 0), 1, 0, 0, 0, 0, 0, 0, 0))
 	// Stale and zero incarnations: dropped and counted, never delivered.
 	f.Add(append(hdr(0, 2, 1, 0), inner...))
 	f.Add(append(hdr(0, 0, 1, 0), inner...))
@@ -188,6 +198,13 @@ func FuzzDecodeFrameSeq(f *testing.F) {
 			(dispatched != ran || after.DecodeErrors != before.DecodeErrors+1) {
 			t.Fatalf("bare frame: %d dispatched, %d decode errors; want 0 and 1",
 				dispatched-ran, after.DecodeErrors-before.DecodeErrors)
+		}
+		// A standalone ack carries no trailer or exactly a SACK bitmap.
+		if _, _, seq, _, err := parseRelHeader(data); err == nil && seq == 0 {
+			if n := len(data) - relHeaderLen; n != 0 && n != sackLen && after.DecodeErrors != before.DecodeErrors+1 {
+				t.Fatalf("standalone ack with a %d-byte trailer: %d decode errors, want 1",
+					n, after.DecodeErrors-before.DecodeErrors)
+			}
 		}
 	})
 }

@@ -49,8 +49,8 @@ func roundsFor(silence, hbEvery int64) int64 {
 // transition steps h's record of rank `to` through ev and performs every
 // effect that must be atomic with the step; it is the only code that acts
 // on a lifecycle step. Caller holds p.mu, and ships the wire effects
-// (sendProbes) after unlocking. In order: the reliability half of the same
-// record is released, re-armed or reset and a joiner's address learned,
+// (sendProbes) after unlocking. In order: the streams of the same record
+// are reset or re-armed (host.stepStreams) and a joiner's address learned,
 // all BEFORE the new state is visible, so a sender observing Alive never
 // races a half-buried stream; deaths is published before a Down state and
 // before the host epoch that triggers the Poll-time sweep, so a caller
@@ -73,14 +73,14 @@ func (h *host) transition(p *peer, to int, ev event) effects {
 		if fx.do&fxSetAddr != 0 && ev.addr.IsValid() {
 			d.udp.setAddr(to, ev.addr)
 		}
-		if fx.do&fxRelease != 0 {
-			p.releaseInflight()
+		// A terminal death releases the queue by resetting both streams:
+		// the peer can only come back as a new incarnation, which resets
+		// them anyway.
+		if fx.do&(fxRelease|fxReset) != 0 {
+			h.stepStreams(p, to, streamEvent{kind: sevReset}, 0)
 		}
 		if fx.do&fxRearm != 0 {
-			p.rearm(d.cfg.RelWindowMin)
-		}
-		if fx.do&fxReset != 0 {
-			p.reset(d.cfg.RelWindow)
+			h.stepStreams(p, to, streamEvent{kind: sevRearm}, clockNow())
 		}
 	}
 	if next.deaths != prev.deaths {

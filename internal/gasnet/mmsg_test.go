@@ -248,15 +248,24 @@ func TestBatchDeliveryCorruptFrame(t *testing.T) {
 	d.RegisterHandler(HandlerUserBase, func(_ *Endpoint, m *Msg) { got = append(got, m.A0) })
 	ep1 := d.Endpoint(1)
 
-	// valid is rank 0's seq-th sequenced frame, as trySeal would stamp it.
-	valid := func(seq uint32) []byte {
-		m := Msg{Handler: HandlerUserBase, From: 0, A0: uint64(seq)}
-		return appendMsg(append(seqHdr(0, d.inc, seq, 0), frameSingle), &m)
+	// valid is rank 0's next sequenced frame, sealed by its send stream
+	// (so rank 1's acks of it are well-formed) but written below.
+	valid := func(a0 uint64) *wireBuf {
+		m := Msg{Handler: HandlerUserBase, From: 0, A0: a0}
+		wb := d.arena.get(bufClassLarge)
+		wb.b = appendMsg(append(wb.b[:relHeaderLen], frameSingle), &m)
+		if ok, _ := d.rel.trySeal(d.eps[0].host, 1, wb); !ok {
+			t.Fatal("seal refused")
+		}
+		return wb
 	}
+	one, two := valid(1), valid(2)
+	defer one.release()
+	defer two.release()
 	frames := []batchFrame{
-		{b: valid(1), addr: d.udp.addrOf(1)},
+		{b: one.b, addr: d.udp.addrOf(1)},
 		{b: []byte{0xEE, 0xBA, 0xD0}, addr: d.udp.addrOf(1)}, // unknown tag
-		{b: valid(2), addr: d.udp.addrOf(1)},
+		{b: two.b, addr: d.udp.addrOf(1)},
 	}
 	if err := d.eps[0].host.send.WriteBatch(frames); err != nil {
 		t.Fatal(err)

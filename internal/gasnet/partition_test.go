@@ -310,6 +310,12 @@ func TestAsymmetricLossHealsTogether(t *testing.T) {
 	if !saw01 || !saw10 {
 		t.Fatalf("asymmetric loss: down 0->1 %v, down 1->0 %v, want both", saw01, saw10)
 	}
+	// The sweep that fails the put runs in rank 0's first Poll after the
+	// death, which the loop above may have stopped just short of.
+	for putErr == nil && time.Now().Before(deadline) {
+		ep0.Poll()
+		time.Sleep(time.Millisecond)
+	}
 	if !errors.Is(putErr, ErrPeerUnreachable) {
 		t.Fatalf("put into the cut resolved with %v, want ErrPeerUnreachable", putErr)
 	}
@@ -382,18 +388,13 @@ func TestHealResetsRetransmitBackoff(t *testing.T) {
 		t.Fatalf("put into the partition resolved with %v, want ErrPeerUnreachable", gotErr)
 	}
 
-	// The pair is parked, not released, and its entries backed all the way
-	// off while retransmitting into the cut.
+	// The pair is parked, not released, and its retransmission timer backed
+	// all the way off while retransmitting into the cut.
 	p := d.peer(0, 1)
 	p.mu.Lock()
 	parked := p.lc.state == peerDown && p.lc.cause == causeNet
 	entries := len(p.inflight)
-	var maxRTO int64
-	for i := range p.inflight {
-		if p.inflight[i].rto > maxRTO {
-			maxRTO = p.inflight[i].rto
-		}
-	}
+	maxRTO := p.timeout()
 	p.mu.Unlock()
 	if !parked {
 		t.Fatal("pair not parked after a healable down")
@@ -418,13 +419,12 @@ func TestHealResetsRetransmitBackoff(t *testing.T) {
 		t.Errorf("heal changed the in-flight set: %d -> %d entries", entries, len(p.inflight))
 	}
 	for i := range p.inflight {
-		e := &p.inflight[i]
-		if e.attempts > 1 {
+		if e := &p.inflight[i]; e.attempts > 1 {
 			t.Errorf("entry %d attempts = %d after heal, want re-armed (<= 1)", i, e.attempts)
 		}
-		if e.rto > 4*relRTO {
-			t.Errorf("entry %d rto = %v after heal, want reseeded near %v", i, time.Duration(e.rto), time.Duration(relRTO))
-		}
+	}
+	if rto := p.timeout(); rto > 4*relRTO {
+		t.Errorf("rto = %v after heal, want reseeded near %v", time.Duration(rto), time.Duration(relRTO))
 	}
 	p.mu.Unlock()
 	if got := d.Stats().PeersHealed; got != 1 {
@@ -433,5 +433,62 @@ func TestHealResetsRetransmitBackoff(t *testing.T) {
 	// Lift the cut so Close drains a live wire.
 	if err := d.HealPartition(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestHealDrainsParkedWindow: a deep window parked behind a partition
+// drains within a few round trips of the heal. The peer holds none of it,
+// so after the timer's first burst every advancing ack resends the next
+// rtxMax parked frames; one frame per round trip would take one standalone
+// ack per frame.
+func TestHealDrainsParkedWindow(t *testing.T) {
+	clearNetEnv(t)
+	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, SegmentBytes: 1 << 12})
+	defer d.Close()
+	ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
+	got := 0
+	d.RegisterHandler(HandlerUserBase, func(*Endpoint, *Msg) { got++ })
+
+	if err := d.SetPartition([][]int{{0}, {1}}); err != nil {
+		t.Fatal(err)
+	}
+	const n = 192
+	for i := 0; i < n; i++ {
+		ep0.Send(1, Msg{Handler: HandlerUserBase})
+	}
+	h := d.eps[0].host
+	h.deliver(1, event{kind: evExhausted})
+	p := d.peer(0, 1)
+	p.mu.Lock()
+	parked := len(p.inflight)
+	p.mu.Unlock()
+	if !ep0.PeerDown(1) || parked != n {
+		t.Fatalf("after the cut: down %v, %d parked; want true and %d", ep0.PeerDown(1), parked, n)
+	}
+
+	if err := d.HealPartition(); err != nil {
+		t.Fatal(err)
+	}
+	before := d.Stats()
+	start := time.Now()
+	h.deliver(1, event{kind: evProbeAck, inc: d.inc})
+	deadline := start.Add(10 * time.Second)
+	for left := parked; (got < n || left > 0) && time.Now().Before(deadline); {
+		ep1.Poll()
+		ep0.Poll()
+		p.mu.Lock()
+		left = len(p.inflight)
+		p.mu.Unlock()
+	}
+	took := time.Since(start)
+	after := d.Stats()
+	acks := after.AcksStandalone - before.AcksStandalone
+	t.Logf("%d parked frames drained in %v: %d retransmissions, %d standalone acks, %d RTO expirations",
+		n, took, after.Retransmits-before.Retransmits, acks, after.RTOExpirations-before.RTOExpirations)
+	if got != n {
+		t.Fatalf("%d of %d messages delivered after the heal", got, n)
+	}
+	if acks > n/4 {
+		t.Errorf("the drain took %d standalone acks for %d frames: about one round trip per frame", acks, n)
 	}
 }

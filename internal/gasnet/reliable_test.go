@@ -2,6 +2,7 @@ package gasnet
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"testing"
 	"time"
@@ -258,6 +259,111 @@ func TestReliableOutOfWindowDrop(t *testing.T) {
 	d.receiveDatagram(d.Endpoint(1), wb)
 	if s := d.Stats(); s.OutOfWindowDrops != 1 {
 		t.Errorf("OutOfWindowDrops = %d, want 1", s.OutOfWindowDrops)
+	}
+}
+
+// TestForgedAckCounted: ack input is untrusted. A cumulative ack or a SACK
+// bit naming a seq never sent, and a standalone ack whose trailer is not an
+// 8-byte bitmap, are each one counted decode error that releases,
+// retransmits and skips nothing; a well-formed bitmap is accepted.
+func TestForgedAckCounted(t *testing.T) {
+	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, Fault: &FaultConfig{Seed: 1, Drop: 1.0}})
+	defer d.Close()
+	ep0 := d.Endpoint(0)
+	p := d.peer(0, 1)
+	p.mu.Lock()
+	p.rto = relRTOMax // keep the timer out of the way
+	p.mu.Unlock()
+	for i := 0; i < 3; i++ {
+		ep0.Send(1, Msg{Handler: HandlerUserBase})
+	}
+	sack := func(bits uint64) []byte { return binary.LittleEndian.AppendUint64(nil, bits) }
+	ack := func(cum uint32, trailer []byte) {
+		wb := d.arena.get(bufClassLarge)
+		wb.b = append(append(wb.b[:0], seqHdr(1, d.inc, 0, cum)...), trailer...)
+		d.receiveDatagram(ep0, wb)
+	}
+	for _, c := range []struct {
+		name    string
+		cum     uint32
+		trailer []byte
+	}{
+		{"cum beyond the 3 sent", 4, nil},
+		{"SACK bit naming seq 4", 0, sack(1 << 2)},
+		{"truncated trailer", 0, []byte{1, 2, 3}},
+		{"oversized trailer", 0, make([]byte, sackLen+1)},
+	} {
+		before := d.Stats()
+		ack(c.cum, c.trailer)
+		after := d.Stats()
+		if after.DecodeErrors != before.DecodeErrors+1 || after.FastRetransmits != before.FastRetransmits {
+			t.Errorf("%s: %d decode errors, %d retransmissions; want 1 and 0", c.name,
+				after.DecodeErrors-before.DecodeErrors, after.FastRetransmits-before.FastRetransmits)
+		}
+		p.mu.Lock()
+		if len(p.inflight) != 3 || p.sendAcked != 0 || p.nsacked != 0 {
+			t.Errorf("%s: %d in flight, acked %d, %d SACKed; want 3, 0, 0", c.name, len(p.inflight), p.sendAcked, p.nsacked)
+		}
+		p.mu.Unlock()
+	}
+	before := d.Stats().DecodeErrors
+	ack(0, sack(0b11)) // seqs 2 and 3 parked: two, not enough to call 1 lost
+	errs := d.Stats().DecodeErrors - before
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if errs != 0 || p.nsacked != 2 {
+		t.Errorf("well-formed SACK: %d decode errors, %d SACKed; want 0 and 2", errs, p.nsacked)
+	}
+}
+
+// TestLossRecoveryCost: at a 2 % drop, loss recovery is counted, not timed.
+// A few thousand puts keep the window full; each drop costs about one
+// retransmission, found by the acks rather than the timer, and every op
+// completes exactly once. Go-back-N on timer expiry paid ~6 duplicate
+// deliveries per drop here.
+func TestLossRecoveryCost(t *testing.T) {
+	d := newTestDomain(t, Config{
+		Ranks: 2, Conduit: UDP, SegmentBytes: 1 << 16,
+		Backpressure: BackpressureFailFast,
+		Fault:        &FaultConfig{Seed: 7, Drop: 0.02},
+	})
+	defer d.Close()
+	ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
+	const puts = 4000
+	completions := make([]int, puts)
+	issued, completed := 0, 0
+	deadline := time.Now().Add(60 * time.Second)
+	for completed < puts && time.Now().Before(deadline) {
+		for issued < puts && ep0.AdmitSend(1, 0) == nil {
+			i := issued
+			ep0.PutRemote(1, uint32(i*8%(1<<16)), []byte("8 bytes!"), nil, func(err error) {
+				if err != nil {
+					t.Errorf("put %d: %v", i, err)
+				}
+				completions[i]++
+				completed++
+			})
+			issued++
+		}
+		ep1.Poll()
+		ep0.Poll()
+	}
+	for i, n := range completions {
+		if n != 1 {
+			t.Fatalf("put %d completed %d times", i, n)
+		}
+	}
+	s := d.Stats()
+	t.Logf("faults %d: retransmits %d (%d ack-driven), RTO expirations %d, dups %d, SACK acks %d",
+		s.FaultsInjected, s.Retransmits, s.FastRetransmits, s.RTOExpirations, s.DupsDropped, s.SackAcks)
+	if s.FaultsInjected == 0 {
+		t.Fatal("no faults injected at 2 % drop")
+	}
+	if s.Retransmits > 2*s.FaultsInjected {
+		t.Errorf("Retransmits = %d > 2 × FaultsInjected (%d)", s.Retransmits, s.FaultsInjected)
+	}
+	if s.RTOExpirations > s.FaultsInjected/4 {
+		t.Errorf("RTOExpirations = %d > FaultsInjected/4 (%d)", s.RTOExpirations, s.FaultsInjected/4)
 	}
 }
 

@@ -7,10 +7,8 @@ import (
 	"log"
 	"net"
 	"net/netip"
-	"runtime"
 	"sync"
 	"sync/atomic"
-	"time"
 )
 
 // The UDP conduit models the paper's non-Intel configurations (§IV): the
@@ -260,7 +258,8 @@ func (d *Domain) initUDP(newConn func(*net.UDPConn, *Domain) batchConn) error {
 				p.lc.inc = d.inc // our own frames are current exactly under our own incarnation
 			}
 			p.inc.Store(p.lc.inc)
-			p.reset(d.cfg.RelWindow)
+			p.cfg = &d.cfg
+			p.step(streamEvent{kind: sevReset}, 0)
 		}
 		d.eps[r].host = h
 		tr.hosts = append(tr.hosts, h)
@@ -625,29 +624,12 @@ func (ep *Endpoint) stageDest(to int) {
 		d.coalescedBatches.Add(1)
 		d.coalescedMsgs.Add(int64(count))
 	}
-	spin := 0
-	for {
-		ok, full := d.rel.trySeal(ep.host, to, wb)
-		if ok {
-			break
-		}
-		if !full {
-			// Shutdown or down peer: the frame is dropped, exactly as
-			// rel.send would drop it.
-			wb.release()
-			return
-		}
-		// The congestion window is full — and the frames already staged
-		// but unwritten may be why no acknowledgments are coming. Ship
-		// them so the window can drain, then wait like rel.send's
-		// backstop.
-		ep.flushStaged()
-		if spin < 4 {
-			spin++
-			runtime.Gosched()
-		} else {
-			time.Sleep(50 * time.Microsecond)
-		}
+	// While the congestion window is full, the frames already staged but
+	// unwritten may be why no acknowledgments are coming: ship them so the
+	// window can drain.
+	if !d.rel.seal(ep.host, to, wb, ep.flushStaged) {
+		wb.release() // shutdown or down peer: dropped, exactly as rel.send drops it
+		return
 	}
 	ep.sendq = append(ep.sendq, batchFrame{b: wb.b, addr: d.udp.addrOf(to), wb: wb})
 }

@@ -99,6 +99,9 @@ func TestMetricsEndpointLive(t *testing.T) {
 		`gupcxx_op_phase_latency_seconds_bucket{family="rma",phase="initiated",le="+Inf"}`,
 		`gupcxx_engine_total{counter="progress_calls"}`,
 		`gupcxx_substrate_total{counter="datagrams_sent"}`,
+		`gupcxx_substrate_total{counter="retransmits"}`,
+		`gupcxx_substrate_total{counter="fast_retransmits"}`,
+		`gupcxx_substrate_total{counter="sack_acks"}`,
 		`gupcxx_peer_state{rank="0",peer="1"} 0`,
 		`gupcxx_flow_window{rank="0",peer="1"}`,
 		`gupcxx_flow_inflight_bytes{rank="0",peer="1"}`,

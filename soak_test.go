@@ -108,7 +108,7 @@ func TestSoakMixedChurn(t *testing.T) {
 		}
 
 		end := time.Now().Add(dur)
-		for round := 0; time.Now().Before(end) && fails == 0; round++ {
+		for round := 0; ; round++ {
 			peer := (me + 1 + round%(n-1)) % n
 
 			// Pipelined wire-RPC burst: more calls outstanding than the
@@ -137,11 +137,20 @@ func TestSoakMixedChurn(t *testing.T) {
 			// Closure RPC still consults admission toward the peer.
 			accept("closure RPC", gupcxx.RPC(r, peer, func(*gupcxx.Rank) {}).WaitErr())
 
-			// Periodic collectives keep the all-to-all paths in the mix.
+			// Periodic collectives keep the all-to-all paths in the mix, and
+			// decide together when to stop: a rank that left on its own
+			// clock would strand the others in the next one.
 			if round%64 == 63 {
 				if sum := r.SumU64(1); sum != uint64(n) {
 					t.Errorf("rank %d: SumU64(1) = %d over %d ranks", me, sum, n)
 					fails++
+				}
+				done := uint64(0)
+				if !time.Now().Before(end) || fails > 0 {
+					done = 1
+				}
+				if r.SumU64(done) > 0 {
+					break
 				}
 			}
 		}

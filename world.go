@@ -220,11 +220,11 @@ type Config struct {
 
 	// RelWindow bounds the UDP reliability layer's per-pair in-flight
 	// datagrams and reorder buffer (default 256). It is the ceiling of the
-	// adaptive congestion window, which moves AIMD-style between
-	// RelWindowMin and this value as loss is observed.
+	// adaptive congestion window, which is halved per loss episode and
+	// regrown by slow start between RelWindowMin and this value.
 	RelWindow int
 
-	// RelWindowMin is the congestion window's AIMD floor: loss never
+	// RelWindowMin is the congestion window's floor: loss never
 	// halves the window below it (default 8, clamped to RelWindow).
 	RelWindowMin int
 
