@@ -134,7 +134,7 @@ func (ad *AtomicDomain[T]) fetchPromise(p GlobalPtr[T], op gasnet.AmoOp, o1, o2 
 	if len(mode) > 0 {
 		m = mode[0]
 	}
-	core.InitiateVPromise(r.eng, core.OpDescV[T]{
+	core.InitiateV(r.eng, core.OpDescV[T]{
 		Kind:  core.OpAtomic,
 		Local: r.localTo(p.rank),
 		Mode:  m,
@@ -151,7 +151,8 @@ func (ad *AtomicDomain[T]) fetchPromise(p GlobalPtr[T], op gasnet.AmoOp, o1, o2 
 				done(err)
 			})
 		},
-	}, pv)
+		Promise: pv,
+	})
 }
 
 // Load atomically reads the value at p.

@@ -90,10 +90,11 @@ func TestAdmissionRefusalValueForms(t *testing.T) {
 	}
 
 	pv := NewPromiseV[int](e)
-	InitiateVPromise(e, OpDescV[int]{
+	InitiateV(e, OpDescV[int]{
 		Kind: OpAtomic, Peer: 7, Admit: true,
-		Inject: func(_ *int, _ func(error)) { t.Error("refused op injected") },
-	}, pv)
+		Inject:  func(_ *int, _ func(error)) { t.Error("refused op injected") },
+		Promise: pv,
+	})
 	if v, err := pv.Finalize().WaitErr(); v != 0 || !errors.Is(err, errRefused) {
 		t.Errorf("value promise after refusal: %v, %v", v, err)
 	}

@@ -4,11 +4,25 @@ import (
 	"testing"
 )
 
+// syncOp initiates a synchronously-completed (co-located) operation with
+// the completion set cxs.
+func syncOp(e *Engine, cxs ...Cx) Result {
+	return e.Initiate(OpDesc{Kind: OpRMA, Local: true}, cxs)
+}
+
+// asyncOp initiates an injected operation with the completion set cxs and
+// returns the substrate's acknowledgment callback with its futures.
+func asyncOp(e *Engine, cxs ...Cx) (Result, func(error)) {
+	var ack func(error)
+	res := e.Initiate(OpDesc{Kind: OpRMA, Inject: func(_ func(ctx any), done func(error)) { ack = done }}, cxs)
+	return res, ack
+}
+
 // TestDeliverSyncEagerFuture: the headline fast path — zero allocations,
 // zero queue traffic, ready future.
 func TestDeliverSyncEagerFuture(t *testing.T) {
 	e := testEngine(Eager2021_3_6)
-	res := e.DeliverSync([]Cx{OpFuture()})
+	res := syncOp(e, OpFuture())
 	if !res.Op.Ready() {
 		t.Fatal("eager op future not ready")
 	}
@@ -24,7 +38,7 @@ func TestDeliverSyncEagerFuture(t *testing.T) {
 // not ready until progress.
 func TestDeliverSyncDeferFuture(t *testing.T) {
 	e := testEngine(Defer2021_3_6)
-	res := e.DeliverSync([]Cx{OpFuture()})
+	res := syncOp(e, OpFuture())
 	if res.Op.Ready() {
 		t.Fatal("deferred future ready at initiation")
 	}
@@ -41,13 +55,13 @@ func TestDeliverSyncDeferFuture(t *testing.T) {
 // version default in both directions.
 func TestModeOverridesVersionDefault(t *testing.T) {
 	eagerLib := testEngine(Eager2021_3_6)
-	res := eagerLib.DeliverSync([]Cx{OpDeferFuture()})
+	res := syncOp(eagerLib, OpDeferFuture())
 	if res.Op.Ready() {
 		t.Error("as_defer under eager library must defer")
 	}
 
 	deferLib := testEngine(Defer2021_3_6)
-	res = deferLib.DeliverSync([]Cx{OpEagerFuture()})
+	res = syncOp(deferLib, OpEagerFuture())
 	if !res.Op.Ready() {
 		t.Error("as_eager under defer library must be eager")
 	}
@@ -59,17 +73,17 @@ func TestUPCXXDeferCompletionMacro(t *testing.T) {
 	v := Eager2021_3_6
 	v.EagerDefault = false
 	e := testEngine(v)
-	if e.DeliverSync([]Cx{OpFuture()}).Op.Ready() {
+	if syncOp(e, OpFuture()).Op.Ready() {
 		t.Error("default factory should defer when the macro is set")
 	}
-	if !e.DeliverSync([]Cx{OpEagerFuture()}).Op.Ready() {
+	if !syncOp(e, OpEagerFuture()).Op.Ready() {
 		t.Error("explicit as_eager must still be eager")
 	}
 }
 
 func TestDeliverSyncSourceAndOp(t *testing.T) {
 	e := testEngine(Eager2021_3_6)
-	res := e.DeliverSync([]Cx{SourceFuture(), OpFuture()})
+	res := syncOp(e, SourceFuture(), OpFuture())
 	if !res.Source.Valid() || !res.Op.Valid() {
 		t.Fatal("both futures should be produced")
 	}
@@ -81,7 +95,7 @@ func TestDeliverSyncSourceAndOp(t *testing.T) {
 func TestDeliverSyncUnrequestedFutureInvalid(t *testing.T) {
 	e := testEngine(Eager2021_3_6)
 	p := NewPromise(e)
-	res := e.DeliverSync([]Cx{OpPromise(p)})
+	res := syncOp(e, OpPromise(p))
 	if res.Op.Valid() {
 		t.Error("no future requested but Result.Op valid")
 	}
@@ -94,13 +108,13 @@ func TestDeliverSyncDuplicateFuturePanics(t *testing.T) {
 			t.Error("duplicate op-future request should panic")
 		}
 	}()
-	e.DeliverSync([]Cx{OpFuture(), OpFuture()})
+	syncOp(e, OpFuture(), OpFuture())
 }
 
 func TestDeliverSyncLPCAlwaysDeferred(t *testing.T) {
 	e := testEngine(Eager2021_3_6)
 	ran := false
-	e.DeliverSync([]Cx{OpLPC(func() { ran = true })})
+	syncOp(e, OpLPC(func() { ran = true }))
 	if ran {
 		t.Fatal("LPC must not run at initiation")
 	}
@@ -114,14 +128,14 @@ func TestPrepareAsyncFire(t *testing.T) {
 	e := testEngine(Eager2021_3_6)
 	p := NewPromise(e)
 	lpcRan := false
-	res, ac := e.PrepareAsync([]Cx{OpFuture(), OpPromise(p), OpLPC(func() { lpcRan = true })})
+	res, ack := asyncOp(e, OpFuture(), OpPromise(p), OpLPC(func() { lpcRan = true }))
 	if res.Op.Ready() {
 		t.Fatal("async op future ready before fire")
 	}
 	if p.Pending() != 2 {
 		t.Fatalf("promise not required: %d", p.Pending())
 	}
-	ac.Fire()
+	ack(nil)
 	if !res.Op.Ready() {
 		t.Error("op future not readied by Fire")
 	}
@@ -142,7 +156,7 @@ func TestPrepareAsyncFire(t *testing.T) {
 // injection).
 func TestPrepareAsyncSourceIsSyncDelivered(t *testing.T) {
 	e := testEngine(Eager2021_3_6)
-	res, _ := e.PrepareAsync([]Cx{SourceFuture(), OpFuture()})
+	res, _ := asyncOp(e, SourceFuture(), OpFuture())
 	if !res.Source.Ready() {
 		t.Error("eager source future should be ready at initiation")
 	}
@@ -164,15 +178,6 @@ func TestRemoteFnComposition(t *testing.T) {
 	fn(2)
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Errorf("composition order %v", order)
-	}
-}
-
-func TestHasOpFuture(t *testing.T) {
-	if HasOpFuture([]Cx{SourceFuture()}) {
-		t.Error("source future is not an op future")
-	}
-	if !HasOpFuture([]Cx{SourceFuture(), OpFuture()}) {
-		t.Error("op future not detected")
 	}
 }
 

@@ -207,7 +207,7 @@ func (e *Engine) Progress() int {
 			c.fulfill(1)
 		}
 		n += len(q)
-		clearCells(q)
+		clear(q)
 	}
 	for len(e.lpcq) > 0 {
 		q := e.lpcq
@@ -218,7 +218,7 @@ func (e *Engine) Progress() int {
 		}
 		n += len(q)
 		e.Stats.LPCRuns += int64(len(q))
-		clearFns(q)
+		clear(q)
 	}
 	if e.mirror != nil {
 		e.mirrorTick++
@@ -230,86 +230,48 @@ func (e *Engine) Progress() int {
 	return n
 }
 
-func clearCells(q []*cell) {
-	for i := range q {
-		q[i] = nil
-	}
-}
-
-func clearFns(q []func()) {
-	for i := range q {
-		q[i] = nil
-	}
-}
-
 // dlEntry is one armed per-op deadline: the absolute expiry instant plus
-// the completion state it guards — a cell (value-producing and promise
-// forms) or an AsyncCompletion record (cx-based forms). AC records are
-// recycled, so the entry captures the generation it armed against and is
-// dropped on mismatch.
+// the completion record it guards. Records are recycled, so the entry
+// captures the generation it armed against and is dropped on mismatch.
 type dlEntry struct {
-	at   int64 // expiry, UnixNano
-	kind OpKind
-	c    *cell
-	ac   *AsyncCompletion
-	gen  uint32
+	at  int64 // expiry, UnixNano
+	ac  *AsyncCompletion
+	gen uint32
 }
 
-// armCellDeadline registers a deadline that fails c with
-// ErrDeadlineExceeded if it has not resolved within d.
-func (e *Engine) armCellDeadline(d time.Duration, k OpKind, c *cell) {
-	if d <= 0 {
-		return
-	}
+// armDeadline registers a deadline that resolves ac's sinks with
+// ErrDeadlineExceeded if the final substrate acknowledgment has not
+// arrived within d.
+func (e *Engine) armDeadline(d time.Duration, ac *AsyncCompletion) {
 	e.Stats.DeadlinesArmed++
-	e.deadlines = append(e.deadlines, dlEntry{at: time.Now().Add(d).UnixNano(), kind: k, c: c})
-}
-
-// armACDeadline registers a deadline that fails ac's notifications if the
-// final substrate acknowledgment has not arrived within d.
-func (e *Engine) armACDeadline(d time.Duration, ac *AsyncCompletion) {
-	if d <= 0 {
-		return
-	}
-	e.Stats.DeadlinesArmed++
-	e.deadlines = append(e.deadlines, dlEntry{
-		at: time.Now().Add(d).UnixNano(), kind: ac.kind, ac: ac, gen: ac.gen,
-	})
+	e.deadlines = append(e.deadlines, dlEntry{at: time.Now().Add(d).UnixNano(), ac: ac, gen: ac.gen})
 }
 
 // sweepDeadlines expires overdue deadlines and compacts the list,
-// returning the number fired. Entries whose operation already completed
-// (ready cell, recycled or failed AC record) are dropped for free.
+// returning the number fired. Entries whose operation already resolved
+// (record recycled or resolved) are dropped for free. An expired record
+// stays out of the freelist until the substrate's outstanding
+// acknowledgments drain through Done, which absorbs them.
 func (e *Engine) sweepDeadlines() int {
 	now := time.Now().UnixNano()
 	n := 0
 	kept := e.deadlines[:0]
 	for _, dl := range e.deadlines {
 		switch {
-		case dl.c != nil && dl.c.ready:
+		case dl.ac.gen != dl.gen || dl.ac.resolved:
 			// Resolved (either way) before the deadline: drop.
-		case dl.ac != nil && (dl.ac.gen != dl.gen || dl.ac.failed):
-			// Record recycled (op completed) or already failed: drop.
 		case dl.at <= now:
 			e.Stats.DeadlinesExpired++
 			n++
 			if e.expiry != nil {
-				e.expiry(dl.kind)
+				e.expiry(dl.ac.kind)
 			}
-			if dl.c != nil {
-				e.Stats.OpsFailed++
-				e.phase(dl.kind, PhaseFailed)
-				dl.c.fail(ErrDeadlineExceeded)
-			} else {
-				dl.ac.expire(ErrDeadlineExceeded)
-			}
+			dl.ac.settle(ErrDeadlineExceeded)
 		default:
 			kept = append(kept, dl)
 		}
 	}
-	for i := len(kept); i < len(e.deadlines); i++ {
-		e.deadlines[i] = dlEntry{}
-	}
+	clear(e.deadlines[len(kept):])
 	e.deadlines = kept
 	return n
 }
@@ -352,11 +314,11 @@ func (e *Engine) ReadyFuture() Future {
 // make_future idiom that seeds conjoining loops).
 func (e *Engine) MakeFuture() Future { return e.ReadyFuture() }
 
-// NewOpFuture allocates a non-ready future for an asynchronous operation
-// and returns it with its fulfillment handle.
+// NewOpFuture allocates a non-ready future and returns it with its
+// fulfillment handle.
 func (e *Engine) NewOpFuture() (Future, FulfillHandle) {
 	c := e.newCell()
-	return Future{c}, FulfillHandle{c: c}
+	return Future{c}, FulfillHandle{c}
 }
 
 // legacyOpState stands in for the operation-state object that UPC++

@@ -49,20 +49,24 @@ func TestFutureFailViaHandle(t *testing.T) {
 
 func TestCompleteAckedRoutesErrors(t *testing.T) {
 	e := testEngine(Eager2021_3_6)
-	ok, okH := e.NewOpFuture()
-	okH.CompleteAcked(nil)
+	okRes, okAck := asyncOp(e, OpFuture())
+	ok := okRes.Op
+	okAck(nil)
 	if !ok.Ready() || ok.Err() != nil {
 		t.Errorf("successful ack: ready=%v err=%v", ok.Ready(), ok.Err())
 	}
 
-	bad, badH := e.NewOpFuture()
-	badH.CompleteAcked(errBoom)
+	// Two fragments: the first fails the operation, the second straggles.
+	var badAck func(error)
+	bad := e.Initiate(OpDesc{Kind: OpRMA, Frags: 2, Inject: func(_ func(ctx any), done func(error)) { badAck = done }},
+		[]Cx{OpFuture()}).Op
+	badAck(errBoom)
 	if !bad.Ready() || !errors.Is(bad.Err(), errBoom) {
 		t.Errorf("failed ack: ready=%v err=%v", bad.Ready(), bad.Err())
 	}
 	// A straggling acknowledgment after failure (e.g. the reply outracing a
 	// deadline expiry by a poll) must be absorbed, not double-complete.
-	badH.CompleteAcked(nil)
+	badAck(nil)
 	if !errors.Is(bad.Err(), errBoom) {
 		t.Errorf("late ack overwrote the failure: %v", bad.Err())
 	}

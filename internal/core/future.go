@@ -21,10 +21,6 @@ type cell struct {
 	// chains, WhenAll) read it without further bookkeeping.
 	err error
 	cbs []func()
-	// t0 is the operation's initiation timestamp for latency attribution
-	// by the phase hook (set by initiateV while a hook is installed; zero
-	// otherwise).
-	t0 int64
 }
 
 // newCell allocates a cell with one outstanding dependency.
@@ -67,6 +63,17 @@ func (c *cell) fulfill(n int32) {
 	for _, cb := range cbs {
 		cb()
 	}
+}
+
+// fulfillErr resolves one dependency carrying an outcome: the first error
+// recorded this way is the cell's failure once the count drains. Unlike
+// fail it does not short-circuit — the promise form of failure,
+// "everything finished, at least one failed".
+func (c *cell) fulfillErr(err error) {
+	if err != nil && !c.ready && c.err == nil {
+		c.err = err
+	}
+	c.fulfill(1)
 }
 
 // fail resolves the cell immediately with err, regardless of outstanding
@@ -413,20 +420,25 @@ func (f FutureV[T]) Drop() Future {
 	return Future{child}
 }
 
-// NewFutureV allocates a value-carrying future plus its producer hooks:
-// setValue stores the result, and the cell is fulfilled through the
-// returned cell handle. Used by the runtime layer for value-producing
-// operations; not part of the public API surface.
-func NewFutureV[T any](e *Engine) (FutureV[T], *T, FulfillHandle) {
+// newCellV allocates a value cell with one outstanding dependency.
+func newCellV[T any](e *Engine) *cellV[T] {
 	e.Stats.CellAllocs++
-	c := &cellV[T]{cell: cell{eng: e, deps: 1}}
-	return FutureV[T]{c: c}, &c.v, FulfillHandle{c: &c.cell}
+	return &cellV[T]{cell: cell{eng: e, deps: 1}}
+}
+
+// NewFutureV allocates a value-carrying future plus its producer hooks:
+// the value is stored through the returned pointer and the cell is
+// resolved through the handle.
+func NewFutureV[T any](e *Engine) (FutureV[T], *T, FulfillHandle) {
+	c := newCellV[T](e)
+	return FutureV[T]{c: c}, &c.v, FulfillHandle{&c.cell}
 }
 
 // NewReadyFutureV allocates an already-ready future carrying v.
 func NewReadyFutureV[T any](e *Engine, v T) FutureV[T] {
-	e.Stats.CellAllocs++
-	c := &cellV[T]{cell: cell{eng: e, ready: true}, v: v}
+	c := newCellV[T](e)
+	c.v = v
+	c.fulfill(1)
 	return FutureV[T]{c: c}
 }
 
@@ -434,62 +446,24 @@ func NewReadyFutureV[T any](e *Engine, v T) FutureV[T] {
 // eager form of failure notification, used when an operation is rejected
 // at initiation (e.g. targeting a peer already declared down).
 func FailedFutureV[T any](e *Engine, err error) FutureV[T] {
-	e.Stats.CellAllocs++
-	c := &cellV[T]{cell: cell{eng: e, ready: true, err: err}}
+	c := newCellV[T](e)
+	c.fail(err)
 	return FutureV[T]{c: c}
 }
 
-// FulfillHandle lets the runtime layer resolve a dependency on an internal
-// cell without exposing the cell type.
+// FulfillHandle resolves a dependency on an internal cell without exposing
+// the cell type. Like every cell mutation it must run on the owning rank's
+// goroutine, inside the progress engine or at an eager initiation point.
 type FulfillHandle struct {
 	c *cell
-
-	// kind attributes the wire-acked phase when the handle completes an
-	// asynchronous pipeline operation (set by InitiateV).
-	kind OpKind
 }
 
-// Valid reports whether the handle references a cell.
-func (h FulfillHandle) Valid() bool { return h.c != nil }
-
-// Fulfill resolves one dependency immediately. It must be called on the
-// owning rank's goroutine, inside the progress engine or at an eager
-// initiation point.
+// Fulfill resolves one dependency immediately.
 func (h FulfillHandle) Fulfill() { h.c.fulfill(1) }
 
 // Fail resolves the cell immediately with err (a no-op if the cell is
 // already resolved).
 func (h FulfillHandle) Fail(err error) { h.c.fail(err) }
-
-// FulfillAcked is the pipeline's substrate-acknowledgment completion: it
-// books the wire-acked phase for the operation's family, then resolves the
-// dependency. Like Fulfill, it must run inside the progress engine.
-func (h FulfillHandle) FulfillAcked() {
-	h.c.eng.phaseSince(h.kind, PhaseWireAcked, h.c.t0)
-	h.c.fulfill(1)
-}
-
-// CompleteAcked is the error-carrying form of FulfillAcked, the done
-// callback the pipeline hands the substrate for value-producing
-// operations: a nil err books the wire-acked phase and fulfills; a non-nil
-// err books the failed phase and fails the cell. A cell that was already
-// resolved (deadline expiry, peer death) absorbs the late acknowledgment
-// without further accounting.
-func (h FulfillHandle) CompleteAcked(err error) {
-	c := h.c
-	if c.ready {
-		return
-	}
-	e := c.eng
-	if err != nil {
-		e.phaseSince(h.kind, PhaseFailed, c.t0)
-		e.Stats.OpsFailed++
-		c.fail(err)
-		return
-	}
-	e.phaseSince(h.kind, PhaseWireAcked, c.t0)
-	c.fulfill(1)
-}
 
 // Defer enqueues the resolution on the owning engine's deferred-
 // notification queue, to fire at the next progress call.

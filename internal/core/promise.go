@@ -45,16 +45,7 @@ func (p *Promise) Fulfill(n int) {
 // drains. The promise therefore still waits for its other registered
 // operations — "everything finished, at least one failed" — unlike a
 // future's fail, which short-circuits.
-func (p *Promise) FulfillError(err error) {
-	if err == nil {
-		p.Fulfill(1)
-		return
-	}
-	if !p.c.ready && p.c.err == nil {
-		p.c.err = err
-	}
-	p.c.fulfill(1)
-}
+func (p *Promise) FulfillError(err error) { p.c.fulfillErr(err) }
 
 // Err returns the first failure recorded on the promise (via
 // FulfillError), or nil. It may be non-nil before the future readies.
@@ -91,8 +82,7 @@ type PromiseV[T any] struct {
 // NewPromiseV allocates a value-carrying promise with one unresolved
 // dependency.
 func NewPromiseV[T any](e *Engine) *PromiseV[T] {
-	e.Stats.CellAllocs++
-	return &PromiseV[T]{c: &cellV[T]{cell: cell{eng: e, deps: 1}}}
+	return &PromiseV[T]{c: newCellV[T](e)}
 }
 
 // Bind registers the single value-producing operation. It panics if a
@@ -133,12 +123,7 @@ func (p *PromiseV[T]) DeliverInPlace() { p.c.fulfill(1) }
 
 // DeliverError resolves the bound operation's dependency as a failure; the
 // promise's future carries err once finalized (FutureV.Err).
-func (p *PromiseV[T]) DeliverError(err error) {
-	if !p.c.ready && p.c.err == nil {
-		p.c.err = err
-	}
-	p.c.fulfill(1)
-}
+func (p *PromiseV[T]) DeliverError(err error) { p.c.fulfillErr(err) }
 
 // Err returns the failure recorded on the promise, or nil.
 func (p *PromiseV[T]) Err() error { return p.c.err }

@@ -149,7 +149,7 @@ func TestEagerPromiseElision(t *testing.T) {
 	e := testEngine(Eager2021_3_6)
 	p := NewPromise(e)
 	before := p.Pending()
-	e.DeliverSync([]Cx{OpPromise(p)})
+	syncOp(e, OpPromise(p))
 	if p.Pending() != before {
 		t.Errorf("eager delivery modified promise: %d -> %d", before, p.Pending())
 	}
@@ -166,7 +166,7 @@ func TestEagerPromiseElision(t *testing.T) {
 func TestDeferPromiseCounting(t *testing.T) {
 	e := testEngine(Defer2021_3_6)
 	p := NewPromise(e)
-	e.DeliverSync([]Cx{OpPromise(p)})
+	syncOp(e, OpPromise(p))
 	if p.Pending() != 2 { // finalize dep + op dep
 		t.Errorf("Pending = %d, want 2", p.Pending())
 	}

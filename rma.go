@@ -149,7 +149,7 @@ func RgetPromise[T any](r *Rank, src GlobalPtr[T], p *PromiseV[T], mode ...Mode)
 	if len(mode) > 0 {
 		m = mode[0]
 	}
-	core.InitiateVPromise(r.eng, core.OpDescV[T]{
+	core.InitiateV(r.eng, core.OpDescV[T]{
 		Kind:  core.OpRMA,
 		Local: r.localTo(src.rank),
 		Mode:  m,
@@ -163,7 +163,8 @@ func RgetPromise[T any](r *Rank, src GlobalPtr[T], p *PromiseV[T], mode ...Mode)
 		Inject: func(slot *T, done func(error)) {
 			r.ep.GetRemote(int(src.rank), src.off, gasnet.SizeOf[T](), gasnet.ValueBytes(slot), done)
 		},
-	}, p)
+		Promise: p,
+	})
 }
 
 // RgetBulk initiates a one-sided get of len(dst) elements from the array
