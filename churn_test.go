@@ -64,10 +64,28 @@ func mustEcho(r *gupcxx.Rank, to int, echo gupcxx.RPCHandlerID, wait time.Durati
 	}
 }
 
+// mustMark delivers one end-barrier mark to rank to, retrying the
+// tolerable churn failures for up to a minute.
+func mustMark(r *gupcxx.Rank, to int, mark gupcxx.RPCHandlerID) {
+	deadline := time.Now().Add(60 * time.Second)
+	for {
+		_, err := gupcxx.RPCWire(r, to, mark, []byte{1}, gupcxx.OpDeadline(5*time.Second)).WaitErr()
+		if err == nil {
+			return
+		}
+		if !tolerableChurnErr(err) || time.Now().After(deadline) {
+			panic(fmt.Sprintf("end barrier %d->%d: %v", r.Me(), to, err))
+		}
+	}
+}
+
 // churnScenario is the per-rank body of TestMultiprocChurn. The highest
 // rank is the victim the parent kills and relaunches; the rest are
-// survivors that keep trafficking through every cycle.
-func churnScenario(w *gupcxx.World, r *gupcxx.Rank, echo, mark gupcxx.RPCHandlerID, marks *atomic.Int64) {
+// survivors that keep trafficking through every cycle. mark is the
+// survivors' end mark, counted in marks; victimMark is the victim's,
+// counted in victimMarks once the final incarnation is readmitted.
+func churnScenario(w *gupcxx.World, r *gupcxx.Rank, echo, mark, victimMark gupcxx.RPCHandlerID,
+	marks, victimMarks *atomic.Int64) {
 	me, n := r.Me(), r.N()
 	victim := n - 1
 	cycles := churnCycles()
@@ -88,13 +106,19 @@ func churnScenario(w *gupcxx.World, r *gupcxx.Rank, echo, mark gupcxx.RPCHandler
 		// A restarted incarnation: no collectives — the survivors are mid-
 		// run and will not re-enter a barrier. Prove readmission by
 		// completing an RPC to every survivor (this blocks until each one
-		// processes our join frames), announce it, then serve until every
-		// survivor has marked us done. Intermediate incarnations are
-		// killed somewhere in this loop; only the last one returns.
+		// processes our join frames), announce it, mark every survivor
+		// (which holds its service up until the final incarnation's mark
+		// arrives, so no survivor leaves before our echoes land), then
+		// serve until every survivor has marked us done. Intermediate
+		// incarnations are killed somewhere in this sequence; only the
+		// last one returns.
 		for p := 0; p < victim; p++ {
 			mustEcho(r, p, echo, 60*time.Second)
 		}
 		fmt.Printf("WORKER_REJOINED inc=%d\n", w.Incarnation())
+		for p := 0; p < victim; p++ {
+			mustMark(r, p, victimMark)
+		}
 		deadline := time.Now().Add(120 * time.Second)
 		for marks.Load() < int64(victim) {
 			if time.Now().After(deadline) {
@@ -132,24 +156,15 @@ func churnScenario(w *gupcxx.World, r *gupcxx.Rank, echo, mark gupcxx.RPCHandler
 	}
 	// End barrier: mark every other rank (the victim's final incarnation
 	// included — survivor→victim traffic after the last readmission), then
-	// hold our RPC service up until the other survivors have marked us.
+	// hold our RPC service up until the other survivors and the victim's
+	// final incarnation have marked us.
 	for p := 0; p < n; p++ {
-		if p == me {
-			continue
-		}
-		deadline := time.Now().Add(60 * time.Second)
-		for {
-			_, err := gupcxx.RPCWire(r, p, mark, []byte{1}, gupcxx.OpDeadline(5*time.Second)).WaitErr()
-			if err == nil {
-				break
-			}
-			if !tolerableChurnErr(err) || time.Now().After(deadline) {
-				panic(fmt.Sprintf("end barrier %d->%d: %v", me, p, err))
-			}
+		if p != me {
+			mustMark(r, p, mark)
 		}
 	}
 	hold := time.Now().Add(120 * time.Second)
-	for marks.Load() < int64(n-2) {
+	for marks.Load() < int64(n-2) || victimMarks.Load() == 0 {
 		if time.Now().After(hold) {
 			panic("end barrier never completed")
 		}

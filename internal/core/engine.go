@@ -15,10 +15,6 @@ type Engine struct {
 	poller func() int // substrate poll (AM dispatch); may be nil in tests
 	parker func()     // substrate idle wait; may be nil in tests
 
-	// idleStreak counts consecutive idle progress steps, driving the
-	// spin-then-park policy in Idle.
-	idleStreak int
-
 	deferq  []*cell  // notifications awaiting the next progress call
 	deferq2 []*cell  // double buffer for drain
 	lpcq    []func() // local procedure calls awaiting the next progress call
@@ -110,9 +106,10 @@ func (e *Engine) Version() Version { return e.ver }
 // progress step to dispatch inbound active messages.
 func (e *Engine) SetPoller(fn func() int) { e.poller = fn }
 
-// SetParker installs the substrate idle-wait hook, used by wait loops
-// after an idle Progress to relinquish the CPU until new messages may
-// arrive.
+// SetParker installs the substrate idle-wait hook, which Idle calls after
+// an idle Progress. The substrate owns the wait policy — whether to yield
+// or to park until a message may have arrived — because only it knows what
+// delivers the rank's messages.
 func (e *Engine) SetParker(fn func()) { e.parker = fn }
 
 // SetAdmitter installs the substrate's per-peer admission hook, consulted
@@ -149,18 +146,11 @@ func (e *Engine) FlushMirror() {
 // a counter increment per step.
 const mirrorFlushEvery = 64
 
-// idleSpin is the number of consecutive idle progress steps a waiter
-// yields (cheap, low-latency) before parking on the substrate (cheap for
-// long waits). Ping-pong latency paths stay in the yield regime; barrier
-// waiters with nothing to do park.
-const idleSpin = 128
-
-// Idle relinquishes the CPU after an idle Progress step: a scheduler
-// yield while the idle streak is short, the substrate parker once the
-// wait looks long.
+// Idle relinquishes the CPU after an idle Progress step through the
+// substrate parker (SetParker), or with a scheduler yield when none is
+// installed.
 func (e *Engine) Idle() {
-	e.idleStreak++
-	if e.parker == nil || e.idleStreak < idleSpin {
+	if e.parker == nil {
 		runtime.Gosched()
 		return
 	}
@@ -180,9 +170,6 @@ func (e *Engine) Progress() int {
 	n := 0
 	if e.poller != nil {
 		n += e.poller()
-	}
-	if n > 0 {
-		e.idleStreak = 0
 	}
 	if e.inProgress {
 		return n

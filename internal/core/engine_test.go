@@ -2,43 +2,18 @@ package core
 
 import "testing"
 
-// TestIdleSpinThenPark: Idle yields for the first idleSpin idle steps and
-// only then invokes the substrate parker; a productive progress step
-// resets the streak.
-func TestIdleSpinThenPark(t *testing.T) {
+// TestIdleCallsParker: Idle hands every idle step to the installed
+// parker; the wait policy (yield or park) is the substrate's, pinned by
+// gasnet's TestIdleSpinThenPark.
+func TestIdleCallsParker(t *testing.T) {
 	e := NewEngine(0, Eager2021_3_6)
 	parks := 0
 	e.SetParker(func() { parks++ })
-	e.SetPoller(func() int { return 0 })
-
-	for i := 0; i < idleSpin-1; i++ {
-		e.Progress()
+	for i := 0; i < 3; i++ {
 		e.Idle()
 	}
-	if parks != 0 {
-		t.Fatalf("parked during spin phase: %d", parks)
-	}
-	e.Idle()
-	if parks != 1 {
-		t.Fatalf("parks = %d after exceeding spin budget", parks)
-	}
-
-	// A productive poll resets the streak.
-	productive := true
-	e.SetPoller(func() int {
-		if productive {
-			productive = false
-			return 1
-		}
-		return 0
-	})
-	e.Progress() // productive
-	for i := 0; i < idleSpin-1; i++ {
-		e.Progress()
-		e.Idle()
-	}
-	if parks != 1 {
-		t.Fatalf("streak not reset by productive progress: parks = %d", parks)
+	if parks != 3 {
+		t.Fatalf("parks = %d after 3 idle steps, want 3", parks)
 	}
 }
 
@@ -46,7 +21,7 @@ func TestIdleSpinThenPark(t *testing.T) {
 // panic (it falls back to a scheduler yield).
 func TestIdleWithoutParkerYields(t *testing.T) {
 	e := NewEngine(0, Defer2021_3_6)
-	for i := 0; i < idleSpin*2; i++ {
+	for i := 0; i < 256; i++ {
 		e.Idle()
 	}
 }

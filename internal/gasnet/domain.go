@@ -610,6 +610,10 @@ type Endpoint struct {
 	wake      chan struct{}
 	parkTimer *time.Timer
 
+	// idleStreak counts the Idle calls since Poll last dispatched a
+	// message (owner goroutine only).
+	idleStreak int
+
 	// held carries messages deferred by PollInternal until the next
 	// user-level Poll.
 	held []Msg
@@ -764,7 +768,11 @@ func (ep *Endpoint) Poll() int {
 		// pacing deadline (see reliability.flushAcks).
 		ep.dom.rel.flushAcks(ep.host)
 	}
-	return n + len(msgs)
+	n += len(msgs)
+	if n > 0 {
+		ep.idleStreak = 0
+	}
+	return n
 }
 
 // dispatch routes one message to its handler. A message bearing an
@@ -927,11 +935,36 @@ func (ep *Endpoint) notify() {
 // the SIM conduit, a logic error in user code) re-polls periodically.
 const parkTimeout = time.Millisecond
 
+// idleSpin is how many consecutive idle steps an in-memory endpoint's
+// waiter spends: it yields on the first idleSpin-1 and parks from the
+// idleSpin-th on. A ping-pong between goroutine ranks stays in the cheap
+// yield regime; a waiter with nothing coming parks.
+const idleSpin = 128
+
+// Idle relinquishes the CPU after an idle progress step; the runtime
+// installs it as the progress engine's parker. The policy follows from
+// what delivers this endpoint's messages. A socket-fed endpoint (one with
+// a host, the UDP conduit) parks at once: its messages are pushed by a
+// reader goroutine that Go's netpoller makes runnable only when no other
+// goroutine is, so a yield spin holds off the very reply it waits for,
+// and no reply can arrive sooner than a loopback round trip anyway. An
+// in-memory endpoint's messages are pushed by other ranks' goroutines,
+// which a yield lets run: it spins idleSpin-1 yields, then parks. A Poll
+// that dispatches anything resets the streak.
+func (ep *Endpoint) Idle() {
+	ep.idleStreak++
+	if ep.host == nil && ep.idleStreak < idleSpin {
+		runtime.Gosched()
+		return
+	}
+	ep.Park()
+}
+
 // Park blocks the calling (owner) goroutine until a new message may be
-// available for this endpoint, or parkTimeout elapses. Callers use it in
-// wait loops after an idle Poll, relinquishing the CPU to other ranks —
-// essential when ranks outnumber cores. Spurious returns are expected;
-// the caller re-checks its condition.
+// available for this endpoint, or parkTimeout elapses. Idle calls it once
+// its wait policy decides to stop yielding; a wait loop that wants to
+// block regardless may call it directly after an idle Poll. Spurious
+// returns are expected; the caller re-checks its condition.
 func (ep *Endpoint) Park() {
 	if !ep.inbox.empty() {
 		// Messages exist but were not deliverable (SIM wire latency):

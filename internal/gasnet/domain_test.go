@@ -304,6 +304,63 @@ func TestParkWakesOnMessage(t *testing.T) {
 	}
 }
 
+// TestIdleSpinThenPark pins the wait policy per conduit. An in-memory
+// endpoint (SIM, PSHM) yields on its first idleSpin-1 idle steps and
+// parks on the idleSpin-th; a Poll that dispatches resets the streak. A
+// socket-fed endpoint (UDP) parks on its first idle step. A park is told
+// from a yield without a clock: Park consumes a pre-loaded wake token, a
+// yield leaves it.
+func TestIdleSpinThenPark(t *testing.T) {
+	for _, tc := range []struct {
+		name   string
+		cfg    Config
+		parkAt int // the idle step that first parks
+	}{
+		{"SIM", Config{Ranks: 2, Conduit: SIM, SimLatency: time.Nanosecond}, idleSpin},
+		{"PSHM", Config{Ranks: 2, Conduit: PSHM}, idleSpin},
+		{"UDP", Config{Ranks: 2, Conduit: UDP}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			d := newTestDomain(t, tc.cfg)
+			defer d.Close()
+			d.RegisterHandler(HandlerUserBase, func(*Endpoint, *Msg) {})
+			ep := d.Endpoint(0)
+			parks := func() bool {
+				select {
+				case ep.wake <- struct{}{}:
+				default: // already loaded
+				}
+				ep.Idle()
+				select {
+				case <-ep.wake:
+					return false
+				default:
+					return true
+				}
+			}
+			// spin checks that idle steps 1..parkAt-1 yield and steps
+			// parkAt and parkAt+1 park.
+			spin := func(phase string) {
+				t.Helper()
+				for i := 1; i <= tc.parkAt+1; i++ {
+					if got, want := parks(), i >= tc.parkAt; got != want {
+						t.Fatalf("%s: idle step %d parked = %v, want %v", phase, i, got, want)
+					}
+				}
+			}
+			spin("fresh")
+
+			// A productive Poll resets the streak. The message is pushed
+			// straight into the inbox, with no wake token behind it.
+			ep.inbox.push(Msg{Handler: HandlerUserBase})
+			if n := ep.Poll(); n != 1 {
+				t.Fatalf("Poll dispatched %d, want 1", n)
+			}
+			spin("after dispatch")
+		})
+	}
+}
+
 func TestMsgWireEncodeDecode(t *testing.T) {
 	m := Msg{Handler: 3, From: 7, A0: 1, A1: 1 << 60, A2: 42, A3: ^uint64(0), Payload: []byte{0, 255, 7}}
 	wire := encodeMsg(nil, &m)

@@ -475,6 +475,11 @@ func (it *datagramIter) next() (Msg, bool) {
 // inbox, taking ownership of wb. Corrupt frames are counted and dropped —
 // a valid prefix of a batch is still delivered: the sequence number is
 // already consumed, and a well-behaved sender never produces one.
+//
+// Each pushed message takes its own reference before it is published,
+// and the caller's reference is dropped only after the last message is
+// parsed: the owner may dispatch and release a pushed message while the
+// rest of the batch is still being read out of wb.
 func (d *Domain) deliverParsed(ep *Endpoint, wb *wireBuf, frame []byte) {
 	it := parseDatagram(frame)
 	pushed := 0
@@ -483,9 +488,7 @@ func (d *Domain) deliverParsed(ep *Endpoint, wb *wireBuf, frame []byte) {
 		if !ok {
 			break
 		}
-		if pushed > 0 {
-			wb.retain(1) // one reference per packed message
-		}
+		wb.retain(1)
 		m.buf = wb
 		ep.inbox.push(m)
 		pushed++
@@ -493,11 +496,10 @@ func (d *Domain) deliverParsed(ep *Endpoint, wb *wireBuf, frame []byte) {
 	if it.err != nil {
 		d.decodeErrors.Add(1)
 	}
-	if pushed == 0 {
-		wb.release()
-		return
+	wb.release()
+	if pushed > 0 {
+		ep.notify()
 	}
-	ep.notify()
 }
 
 // sendUDP ships one wire message to the target rank's socket as a

@@ -76,6 +76,16 @@ func multiprocWorker(scenario string) error {
 		notifies.Add(int64(len(args)))
 		return nil
 	})
+	// The churn victim's end mark counts only once every restart cycle
+	// has been readmitted here, so a mark from an earlier incarnation
+	// (killed after sending it) cannot stand in for the final one's.
+	var victimMarks atomic.Int64
+	victimMark := w.RegisterRPC(func(_ *gupcxx.Rank, _ []byte) []byte {
+		if w.Domain().Stats().PeersReadmitted >= int64(churnCycles()) {
+			victimMarks.Add(1)
+		}
+		return nil
+	})
 	return w.Run(func(r *gupcxx.Rank) {
 		switch scenario {
 		case "smoke":
@@ -83,7 +93,7 @@ func multiprocWorker(scenario string) error {
 		case "death":
 			deathScenario(r, echo, bump, &notifies)
 		case "churn":
-			churnScenario(w, r, echo, bump, &notifies)
+			churnScenario(w, r, echo, bump, victimMark, &notifies, &victimMarks)
 		case "partition":
 			partitionScenario(w, r, echo)
 		case "serve":

@@ -1,6 +1,7 @@
 package gupcxx_test
 
 import (
+	"runtime"
 	"strings"
 	"testing"
 
@@ -81,6 +82,44 @@ func TestRPCWireSelfAndConcurrent(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestUDPWaitParksAtOnce: a rank waiting on the socket parks on its first
+// idle step instead of spinning yields. With one P the yields would keep
+// the socket reader goroutine from running, so each blocking call would
+// spin out the in-memory yield budget (about 260 progress calls per echo)
+// before the reply could be read. Counts progress calls; reads no clock.
+// The wire is clean: under injected loss the count would follow the
+// retransmission timer instead.
+func TestUDPWaitParksAtOnce(t *testing.T) {
+	t.Setenv("GUPCXX_UDP_FAULT", "")
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	w, err := gupcxx.NewWorld(gupcxx.Config{Ranks: 2, Conduit: gupcxx.UDP, SegmentBytes: 1 << 12})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.Close()
+	echo := w.RegisterRPC(func(_ *gupcxx.Rank, args []byte) []byte { return args })
+	const calls = 500
+	err = w.Run(func(r *gupcxx.Rank) {
+		r.Barrier()
+		if r.Me() == 0 {
+			for i := 0; i < calls; i++ {
+				if got := gupcxx.RPCWire(r, 1, echo, []byte{byte(i)}).Wait(); len(got) != 1 || got[0] != byte(i) {
+					t.Errorf("echo %d: reply %v", i, got)
+				}
+			}
+		}
+		r.Barrier()
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	perOp := float64(w.Stats().ProgressCalls) / calls
+	t.Logf("%.1f progress calls per blocking echo", perOp)
+	if perOp > 16 {
+		t.Errorf("%.1f progress calls per blocking echo, want <= 16: the waiter spins instead of parking", perOp)
 	}
 }
 

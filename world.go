@@ -423,7 +423,7 @@ func NewWorld(cfg Config) (*World, error) {
 			coll:        newCollState(),
 		}
 		r.eng.SetPoller(ep.Poll)
-		r.eng.SetParker(ep.Park)
+		r.eng.SetParker(ep.Idle)
 		ep.Ctx = r
 		// When the substrate declares a peer dead it fails its own op-table
 		// entries; the hook extends the sweep to the runtime layer's
