@@ -81,10 +81,11 @@ test-loss:
 # Failure-path suite under adversarial wire presets (DESIGN.md §10):
 # heavy loss, then a duplication/reordering storm. Exercises the liveness
 # detector (no false peer-down under loss), retransmit exhaustion,
-# deadline expiry, panic containment, and collective abort. Tests that
+# deadline expiry, panic containment, collective abort, and the send
+# rule's ship points (last barrier token, teardown, backstop). Tests that
 # arm an explicit FaultConfig keep their deterministic faults; every
 # other UDP domain inherits the preset from the environment.
-FAULT_TESTS = 'TestPeerKilledMidRun|TestBarrierAbortsOnPeerDeath|TestWireRPCHandlerPanicContained|TestClosureRPCPanicContained|TestOpDeadlineOnSlowWire|TestRPCWireUnregisteredFails|TestRetransmitExhaustionMarksPeerDown|TestHeartbeat'
+FAULT_TESTS = 'TestPeerKilledMidRun|TestBarrierAbortsOnPeerDeath|TestWireRPCHandlerPanicContained|TestClosureRPCPanicContained|TestOpDeadlineOnSlowWire|TestRPCWireUnregisteredFails|TestRetransmitExhaustionMarksPeerDown|TestHeartbeat|TestBarrierShipsLastToken|TestCloseShipsStagedSends|TestStagedSendShipsWithoutProgress'
 test-fault:
 	GUPCXX_UDP_FAULT="drop=0.40,seed=11" \
 		$(GO) test -count 1 -run $(FAULT_TESTS) ./internal/gasnet/ .

@@ -106,6 +106,7 @@ func chokeAndFill(t *testing.T, w *gupcxx.World, r *gupcxx.Rank, echo gupcxx.RPC
 	}
 	for i := 0; i < 4; i++ {
 		gupcxx.RPCWire(r, 1, echo, []byte{byte(i)})
+		r.Progress()
 	}
 }
 

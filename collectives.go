@@ -24,9 +24,13 @@ import (
 // the primitives they invoke.
 
 // collOp runs one blocking collective protocol through the unified
-// pipeline.
+// pipeline, then ships whatever the protocol left staged: a wait whose
+// condition already holds returns without progress, so a rank's last
+// token (its final barrier round, say) would otherwise sit in its sender's
+// batch while the peer waits for it.
 func collOp(r *Rank, protocol func()) {
 	r.eng.Initiate(core.OpDesc{Kind: core.OpColl, Local: true, Move: protocol}, nil)
+	r.ep.Flush()
 }
 
 // collective op kinds, carried in Msg.A1.
@@ -223,12 +227,11 @@ func (r *Rank) broadcastU64(root int, v uint64) uint64 {
 //
 // Contributions climb a binomial tree rooted at rank 0 (each message
 // carries its origin rank in A3); an interior vertex forwards its whole
-// subtree to its parent inside one injection burst, so on the UDP conduit
-// the fan-in coalesces into O(log N) datagrams per vertex instead of one
-// per contribution. The root then broadcasts the packed vector. Versus the
-// previous all-to-all this is O(N log N) messages rather than O(N²), and
-// it is the substrate's showcase for sender-side coalescing (the burst to
-// a common parent is exactly the pattern coalescing accelerates).
+// subtree to its parent between two progress calls, so on the UDP conduit
+// the send rule (DESIGN.md §7.3) packs the forward into one datagram
+// instead of one per contribution. The root then broadcasts the packed
+// vector. Versus the previous all-to-all this is O(N log N) messages
+// rather than O(N²).
 func (r *Rank) ExchangeU64(v uint64) []uint64 {
 	var out []uint64
 	collOp(r, func() { out = r.exchangeU64(v) })
@@ -302,10 +305,9 @@ func (r *Rank) exchangeU64(v uint64) []uint64 {
 	}
 
 	if me != 0 {
-		// Forward the whole subtree to the parent in one burst: on the
-		// UDP conduit these pack into a single datagram.
+		// Forward the whole subtree to the parent: on the UDP conduit
+		// these are staged together and leave as a single datagram.
 		parent := me - span
-		r.ep.BeginBurst()
 		for i := range origins {
 			r.ep.Send(parent, gasnet.Msg{
 				Handler: hColl,
@@ -315,7 +317,6 @@ func (r *Rank) exchangeU64(v uint64) []uint64 {
 				A3:      uint64(origins[i]),
 			})
 		}
-		r.ep.EndBurst()
 	} else {
 		for i := range origins {
 			out[origins[i]] = values[i]

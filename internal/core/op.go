@@ -284,9 +284,9 @@ func (e *Engine) initiate(k OpKind, local bool, cxs []Cx, frags int, dl time.Dur
 	// Credit admission happens before any completion state is built: a
 	// refused operation never entered the substrate, so its failure is
 	// delivered eagerly as a value (the whole point of surfacing overload
-	// at initiation instead of blocking inside rel.send). A refused
-	// fire-and-forget operation has no sink: the failure is booked and the
-	// message dropped, exactly as a send toward a down peer is.
+	// at initiation instead of blocking in the sender's window wait). A
+	// refused fire-and-forget operation has no sink: the failure is booked
+	// and the message dropped, exactly as a send toward a down peer is.
 	dl = effectiveDeadline(dl, cxs)
 	if admit && e.admit != nil {
 		if err := e.admit(peer, dl); err != nil {

@@ -45,7 +45,8 @@ func (e *BackpressureError) Is(target error) bool { return target == ErrBackpres
 // Admission is an occupancy check, not a reservation: coalescing can pack
 // several admitted messages into one datagram, so a reserved-credit
 // scheme would leak credits. The residual over-admission is bounded by
-// rel.send's own (liveness-aware) window block.
+// the coalescer's own (liveness-aware) window block when it seals the
+// staged frames (reliability.seal).
 //
 // Conduits without a reliability layer (SMP, PSHM, SIM) and self-sends
 // have no window to fill and are always admitted.

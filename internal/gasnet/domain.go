@@ -38,6 +38,7 @@ type Domain struct {
 	datagramsSent    atomic.Int64
 	coalescedBatches atomic.Int64
 	coalescedMsgs    atomic.Int64
+	tickFlushes      atomic.Int64
 
 	// Batched-syscall instrumentation (see Stats, mmsg_linux.go). Counted
 	// only by the real mmsg path, so the portable fallback's zeros make
@@ -208,6 +209,11 @@ type Stats struct {
 	// message; CoalescedMsgs counts the messages inside them.
 	CoalescedBatches int64
 	CoalescedMsgs    int64
+	// TickFlushes counts staged datagrams the reliability ticker shipped
+	// because their sender made no progress call for a whole tick (the
+	// send rule's backstop, DESIGN.md §7.3). A rank that polls ships its
+	// own; nonzero means some rank computed with sends staged.
+	TickFlushes int64
 	// SendmmsgCalls / RecvmmsgCalls count vectorized I/O syscalls issued
 	// by the batched datapath (mmsg_linux.go); SendBatchFrames /
 	// RecvBatchFrames count the datagrams they moved, so frames-per-call
@@ -370,6 +376,7 @@ func (d *Domain) Stats() Stats {
 		DatagramsSent:      d.datagramsSent.Load(),
 		CoalescedBatches:   d.coalescedBatches.Load(),
 		CoalescedMsgs:      d.coalescedMsgs.Load(),
+		TickFlushes:        d.tickFlushes.Load(),
 		SendmmsgCalls:      d.sendmmsgCalls.Load(),
 		RecvmmsgCalls:      d.recvmmsgCalls.Load(),
 		SendBatchFrames:    d.sendBatchFrames.Load(),
@@ -594,16 +601,6 @@ type Endpoint struct {
 	// nil on every other conduit, and for a rank another process hosts.
 	host *host
 
-	// burst and co implement sender-side coalescing on the UDP conduit
-	// (see udp.go): while burst > 0, wire messages are packed per
-	// destination instead of shipped one datagram each. sendq is the
-	// staging area for the vectorized flush: sealed per-destination
-	// frames accumulate here and ship in one batched write (owner
-	// goroutine only, recycled across bursts).
-	burst int
-	co    *coalescer
-	sendq []batchFrame
-
 	// wake is signaled (coalescing) whenever a message is delivered to
 	// this endpoint, so an idle waiter can park instead of spinning — a
 	// large win when ranks outnumber cores.
@@ -659,22 +656,23 @@ func (ep *Endpoint) LocalSegment(target int) *Segment {
 // targets receive the message immediately (in-memory handoff). Cross-node
 // targets (SIM conduit) receive a copy that was round-tripped through the
 // wire encoding and released only after the configured latency; closure
-// messages (Fn != nil) cannot cross nodes.
+// messages (Fn != nil) cannot cross nodes. On the UDP conduit a
+// wire-encodable message is encoded into its destination's staged batch
+// and leaves at this rank's next progress call — Poll, PollInternal,
+// Idle — or at Flush, whichever comes first (DESIGN.md §7.3); a
+// collective's last token or a send before teardown needs Flush.
 // A Msg whose buf field is set (pooled payload staging, rma.go) is
 // consumed by Send: ownership of the buffer reference transfers to the
 // receiver on in-memory delivery, or is released here once the bytes are
-// on the wire.
+// encoded.
 func (ep *Endpoint) Send(to int, m Msg) {
 	m.From = int32(ep.rank)
 	ep.dom.amSends.Add(1)
 	if ep.dom.cfg.Conduit == UDP && m.Fn == nil {
-		// Wire-encodable message on the UDP conduit: through the kernel,
-		// packed with its burst-mates when a burst is open.
-		if ep.burst > 0 {
-			ep.coalesce(to, &m)
-		} else {
-			ep.dom.sendUDP(ep.rank, to, &m)
-		}
+		// Wire-encodable message on the UDP conduit: staged for the
+		// kernel, packed with everything else this rank sends to `to`
+		// before its next progress call.
+		ep.host.stage(to, &m)
 		m.release()
 		return
 	}
@@ -734,18 +732,19 @@ func (ep *Endpoint) Send(to int, m Msg) {
 // progress), returning the number processed. It must be called from the
 // owning rank's goroutine; it is the substrate half of the runtime's
 // progress engine. Messages held back by a preceding PollInternal are
-// dispatched first, preserving their arrival order.
+// dispatched first, preserving their arrival order. On the UDP conduit
+// Poll is also where staged sends leave: at entry, everything sent since
+// the last progress call; after the dispatch round, the handlers'
+// replies — before the pending acks, so those ride on the replies.
 func (ep *Endpoint) Poll() int {
-	if ep.co != nil && ep.burst == 0 && ep.co.pending() {
-		// Safety net: a burst left unflushed (a bug in the caller) must
-		// not stall peers forever.
-		ep.flushSends()
-	}
-	if h := ep.host; h != nil && h.epoch.Load() != ep.lvSeen {
-		// A peer of this rank was declared down since the last poll: fail
-		// its pending operations here, on the owner goroutine, preserving
-		// the op table's no-locking confinement.
-		ep.sweepDown(h)
+	if h := ep.host; h != nil {
+		h.flush()
+		if h.epoch.Load() != ep.lvSeen {
+			// A peer of this rank was declared down since the last poll:
+			// fail its pending operations here, on the owner goroutine,
+			// preserving the op table's no-locking confinement.
+			ep.sweepDown(h)
+		}
 	}
 	n := 0
 	if len(ep.held) > 0 {
@@ -762,11 +761,13 @@ func (ep *Endpoint) Poll() int {
 		ep.dispatch(&msgs[i])
 		msgs[i].release()
 	}
-	if ep.host != nil {
-		// Eager ack flush: anything this dispatch round did not answer
-		// with reverse traffic is acknowledged now, not at the ticker's
-		// pacing deadline (see reliability.flushAcks).
-		ep.dom.rel.flushAcks(ep.host)
+	if h := ep.host; h != nil {
+		// Ship the replies, then the eager ack flush: anything this
+		// dispatch round did not answer with reverse traffic is
+		// acknowledged now, not at the ticker's pacing deadline (see
+		// reliability.flushAcks).
+		h.flush()
+		ep.dom.rel.flushAcks(h)
 	}
 	n += len(msgs)
 	if n > 0 {
@@ -881,7 +882,8 @@ func (ep *Endpoint) DownPeers() []int {
 // user-level Poll. Remote-completion callbacks attached to serviced puts
 // are likewise held — the data is applied and the ack sent, but the
 // callback waits for user-level progress, as remote_cx::as_rpc does in
-// UPC++.
+// UPC++. On the UDP conduit the replies it produced, and anything staged
+// before it, leave before it returns.
 func (ep *Endpoint) PollInternal() int {
 	msgs := ep.inbox.drainNow()
 	n := 0
@@ -915,6 +917,7 @@ func (ep *Endpoint) PollInternal() int {
 			m.buf = nil
 		}
 	}
+	ep.Flush()
 	return n
 }
 
@@ -950,10 +953,15 @@ const idleSpin = 128
 // and no reply can arrive sooner than a loopback round trip anyway. An
 // in-memory endpoint's messages are pushed by other ranks' goroutines,
 // which a yield lets run: it spins idleSpin-1 yields, then parks. A Poll
-// that dispatches anything resets the streak.
+// that dispatches anything resets the streak. A socket-fed endpoint ships
+// its staged sends before it parks: whatever ran since the last Poll
+// (a continuation, a callback) may have sent the very message the wait
+// depends on.
 func (ep *Endpoint) Idle() {
 	ep.idleStreak++
-	if ep.host == nil && ep.idleStreak < idleSpin {
+	if h := ep.host; h != nil {
+		h.flush()
+	} else if ep.idleStreak < idleSpin {
 		runtime.Gosched()
 		return
 	}
@@ -962,8 +970,10 @@ func (ep *Endpoint) Idle() {
 
 // Park blocks the calling (owner) goroutine until a new message may be
 // available for this endpoint, or parkTimeout elapses. Idle calls it once
-// its wait policy decides to stop yielding; a wait loop that wants to
-// block regardless may call it directly after an idle Poll. Spurious
+// its wait policy decides to stop yielding, after shipping the staged
+// sends; a wait loop that wants to block regardless may call it directly
+// after an idle Poll, which shipped them. Park itself ships nothing, so
+// a caller that sent since its last Poll calls Flush first. Spurious
 // returns are expected; the caller re-checks its condition.
 func (ep *Endpoint) Park() {
 	if !ep.inbox.empty() {

@@ -292,6 +292,7 @@ func TestFlowStateOccupancy(t *testing.T) {
 	}
 
 	d.Endpoint(0).PutRemote(1, 0, []byte{1, 2, 3, 4}, nil, func(error) {})
+	d.Endpoint(0).Flush()
 	deadline := time.Now().Add(5 * time.Second)
 	for time.Now().Before(deadline) {
 		fs = d.FlowState(0, 1)

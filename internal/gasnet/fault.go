@@ -416,8 +416,9 @@ func (f *faultConn) WriteBatch(frames []batchFrame) error {
 		return f.inner.WriteBatch(frames)
 	}
 	// The fault path is for test suites, not the cost model, so the
-	// per-call scratch allocation here is acceptable.
-	out := make([]batchFrame, 0, len(frames)+faultMaxHeld)
+	// per-call scratch allocation here is acceptable; a call whose frames
+	// are all dropped makes none.
+	var out []batchFrame
 	f.mu.Lock()
 	latency := f.delay > 0 || f.jitter > 0
 	for _, fr := range frames {

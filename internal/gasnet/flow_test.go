@@ -151,6 +151,7 @@ func TestWindowShrinksOnLossGrowsOnRecovery(t *testing.T) {
 	const msgs = 150
 	for i := 0; i < msgs; i++ {
 		ep0.Send(1, Msg{Handler: HandlerUserBase, A0: uint64(i)})
+		ep0.Flush()
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for delivered < msgs && time.Now().Before(deadline) {
@@ -180,6 +181,7 @@ func TestWindowShrinksOnLossGrowsOnRecovery(t *testing.T) {
 	}
 	for i := 0; i < 64; i++ {
 		ep0.Send(1, Msg{Handler: HandlerUserBase, A0: uint64(msgs + i)})
+		ep0.Flush()
 		// Space sends out so each ack event carries a fresh clean sample.
 		if i%8 == 7 {
 			time.Sleep(2 * time.Millisecond)
@@ -218,6 +220,7 @@ func TestAdmitFailFastBackpressure(t *testing.T) {
 			t.Fatalf("admission refused at occupancy %d of 4: %v", i, err)
 		}
 		ep0.Send(1, Msg{Handler: HandlerUserBase, A0: uint64(i)})
+		ep0.Flush()
 	}
 	start := time.Now()
 	err := ep0.AdmitSend(1, 0)
@@ -257,6 +260,7 @@ func TestAdmitBoundedBlockTimesOut(t *testing.T) {
 	ep0 := d.Endpoint(0)
 	for i := 0; i < 4; i++ {
 		ep0.Send(1, Msg{Handler: HandlerUserBase, A0: uint64(i)})
+		ep0.Flush()
 	}
 
 	start := time.Now()
@@ -303,12 +307,15 @@ func TestWindowBlockedSendWakesOnPeerDown(t *testing.T) {
 	var gotErr error
 	for i := 0; i < 3; i++ {
 		ep0.Send(1, Msg{Handler: HandlerUserBase, A0: uint64(i)})
+		ep0.Flush()
 	}
 	ep0.PutRemote(1, 0, []byte{1, 2, 3, 4}, nil, func(err error) { gotErr = err })
+	ep0.Flush()
 
 	unblocked := make(chan struct{})
 	go func() {
-		ep0.Send(1, Msg{Handler: HandlerUserBase, A0: 99}) // blocks: window full
+		ep0.Send(1, Msg{Handler: HandlerUserBase, A0: 99})
+		ep0.Flush() // blocks: window full
 		close(unblocked)
 	}()
 	// The send must stay blocked while the peer is merely slow...

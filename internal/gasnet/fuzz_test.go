@@ -92,6 +92,17 @@ func FuzzDecodeDatagram(f *testing.F) {
 	f.Add([]byte{frameBatch, 9, 0, 1})        // count overruns frame
 	f.Add(append([]byte(nil), single[:5]...)) // truncated message
 
+	// Batch frames carry every UDP payload a sender emits: a GUPS-sized
+	// batch of 512, a count of 65535 over two entries, and a batch cut
+	// inside the second entry's length prefix.
+	gups := appendBatch(nil, &m, 512)
+	f.Add(gups)
+	claimed := appendBatch(nil, &m, 2)
+	claimed[1], claimed[2] = 0xff, 0xff
+	f.Add(claimed)
+	cut := appendBatch(nil, &m, 2)
+	f.Add(cut[:len(cut)-len(encodeMsg(nil, &m))-2])
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame := data
 		if len(frame) > 0 && frame[0] == frameSeq {
@@ -112,6 +123,18 @@ func FuzzDecodeDatagram(f *testing.F) {
 		}
 		_ = it.err // decode errors are reported, not panicked
 	})
+}
+
+// appendBatch appends a frameBatch of n copies of m, framed exactly as the
+// coalescer packs them.
+func appendBatch(dst []byte, m *Msg, n int) []byte {
+	dst = append(dst, frameBatch, byte(n), byte(n>>8))
+	for i := 0; i < n; i++ {
+		enc := encodeMsg(nil, m)
+		dst = binary.LittleEndian.AppendUint32(dst, uint32(len(enc)))
+		dst = append(dst, enc...)
+	}
+	return dst
 }
 
 // FuzzDecodeFrameSeq drives arbitrary datagrams through the complete

@@ -455,6 +455,7 @@ func TestHealDrainsParkedWindow(t *testing.T) {
 	const n = 192
 	for i := 0; i < n; i++ {
 		ep0.Send(1, Msg{Handler: HandlerUserBase})
+		ep0.Flush()
 	}
 	h := d.eps[0].host
 	h.deliver(1, event{kind: evExhausted})

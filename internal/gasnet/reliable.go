@@ -42,10 +42,11 @@ import (
 // send path), receive (the socket reader), tickPeer (the ticker) and
 // flushAcks (the owner's poll loop) each take the peer lock, step, deliver
 // and release what the step handed over, and put frames on the wire only
-// after unlocking. A send beyond the window blocks — bounded: the block
-// re-checks the peer's liveness, so a peer declared Down mid-block wakes
-// its senders promptly instead of wedging them (the op pipeline then fails
-// the operations with ErrPeerUnreachable). Callers that must not block at
+// after unlocking. A frame sealed beyond the window blocks its owner's
+// flush (coalescer, udp.go) — bounded: the block re-checks the peer's
+// liveness, so a peer declared Down mid-block wakes its senders promptly
+// instead of wedging them (the op pipeline then fails the operations with
+// ErrPeerUnreachable). Callers that must not block at
 // all ask first via admit (credit-based admission, surfaced as
 // Endpoint.AdmitSend and core.Engine initiation). Exhausting the
 // retransmission budget (Config.RelMaxAttempts, default relMaxAttempts)
@@ -226,41 +227,25 @@ func parseRelHeader(b []byte) (from uint16, inc, seq, ack uint32, err error) {
 	return from, inc, seq, ack, nil
 }
 
-// send stamps wb (whose first relHeaderLen bytes were reserved by the
-// caller) with the next sequence number for h.rank→to and the piggybacked
-// cumulative ack for to→h.rank, retains it in the retransmission queue, and
-// ships it, waiting out a full window (seal).
-func (r *reliability) send(h *host, to int, wb *wireBuf) {
-	if !r.seal(h, to, wb, nil) {
-		return
-	}
-	// DatagramsSent counts first transmissions only (here and in
-	// writeBatch): retransmissions and standalone acks keep their own
-	// counters, so it stays the coalescing cost model — datagrams the
-	// protocol decided to send — rather than a wire-traffic tally.
-	r.d.datagramsSent.Add(1)
-	h.writeFrame(to, wb.b)
-}
-
 // seal is trySeal that blocks while the in-flight congestion window is
 // full — but the block is liveness-aware: acks arrive on the socket reader
 // goroutine (so credit frees without this goroutine running), and a peer
 // declared Down mid-block is re-checked every wakeup, so the sender drains
 // out promptly instead of wedging against a peer that will never ack.
 // Admission-controlled callers (AdmitSend) normally reserve credit before
-// reaching here, so this block is the backstop, not the policy. stalled,
-// if not nil, runs before each wait. It reports false for a dropped frame:
-// racing shutdown, or a declared-dead destination (the op pipeline fails
-// down-peer operations with ErrPeerUnreachable; stalling the sender here
-// would deadlock it against a peer that will never ack).
-func (r *reliability) seal(h *host, to int, wb *wireBuf, stalled func()) bool {
+// reaching here, so this block is the backstop, not the policy. Before
+// each wait it writes the frames the owner has already sealed (the
+// caller holds h.co.mu): they may be why no acknowledgments are coming.
+// It reports false for a dropped frame: racing shutdown, or a
+// declared-dead destination (the op pipeline fails down-peer operations
+// with ErrPeerUnreachable; stalling the sender here would deadlock it
+// against a peer that will never ack).
+func (r *reliability) seal(h *host, to int, wb *wireBuf) bool {
 	for spin := 0; ; spin++ {
 		if ok, full := r.trySeal(h, to, wb); ok || !full {
 			return ok
 		}
-		if stalled != nil {
-			stalled()
-		}
+		h.writeStaged()
 		// Momentary fullness resolves within an ack round trip; yield a
 		// few times before escalating to real sleeps so a blocked sender
 		// costs no CPU while still observing a Down transition within a
@@ -273,12 +258,13 @@ func (r *reliability) seal(h *host, to int, wb *wireBuf, stalled func()) bool {
 	}
 }
 
-// trySeal attempts the non-writing half of send: stamp wb with the next
-// sequence number and piggybacked ack and retain it in the
+// trySeal stamps wb (whose first relHeaderLen bytes the coalescer
+// reserved) with the next sequence number for h.rank→to and the
+// piggybacked cumulative ack for to→h.rank, and retains it in the
 // retransmission queue, without blocking and without putting it on the
-// wire — the batched send path seals a burst's frames one by one and
-// ships them in a single vectorized write. ok reports the frame was
-// sealed (the caller must now transmit wb.b exactly once, by any path);
+// wire — the coalescer seals its staged frames one by one and ships them
+// in a single vectorized write. ok reports the frame was sealed (the
+// caller must now transmit wb.b exactly once, by any path);
 // when ok is false, full distinguishes a momentarily-full congestion
 // window (retry after letting acks drain) from a dropped frame
 // (shutdown or down peer — the caller still owns its wb reference).
@@ -510,7 +496,8 @@ func (r *reliability) sendAck(h *host, to int, ack uint32, sack uint64) {
 }
 
 // run is the ticker goroutine: it keeps the cached clock fresh and makes
-// one pass over every hosted peer row per tick.
+// one pass over every hosted rank's staged sends (host.backstop) and peer
+// row per tick.
 func (r *reliability) run() {
 	defer close(r.done)
 	t := time.NewTicker(relTickInterval)
@@ -539,6 +526,7 @@ func (r *reliability) tick(now int64) {
 	}
 	joining := false
 	for _, h := range r.d.udp.hosts {
+		h.backstop(now)
 		for to := range h.peers {
 			if r.tickPeer(h, to, now, round) {
 				joining = true
@@ -619,11 +607,12 @@ func (r *reliability) shutdown() {
 	<-r.done
 }
 
-// drainState releases every buffer still held by retransmission queues and
-// reorder buffers. Called after the ticker and the socket readers have
-// stopped, so no concurrent access remains.
+// drainState releases every buffer still held by the coalescers,
+// retransmission queues and reorder buffers. Called after the ticker and
+// the socket readers have stopped, so no concurrent access remains.
 func (r *reliability) drainState() {
 	for _, h := range r.d.udp.hosts {
+		h.dropStaged()
 		for i := range h.peers {
 			p := &h.peers[i]
 			p.mu.Lock()

@@ -33,6 +33,7 @@ func TestReliableDeliveryUnderLoss(t *testing.T) {
 	ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
 	for i := 0; i < msgs; i++ {
 		ep0.Send(1, Msg{Handler: HandlerUserBase, A0: uint64(i), Payload: []byte("lossy wire")})
+		ep0.Flush()
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for len(got) < msgs && time.Now().Before(deadline) {
@@ -145,6 +146,7 @@ func TestReliableDupSuppression(t *testing.T) {
 	const msgs = 100
 	for i := 0; i < msgs; i++ {
 		ep0.Send(1, Msg{Handler: HandlerUserBase, A0: uint64(i)})
+		ep0.Flush()
 	}
 	total := 0
 	deadline := time.Now().Add(20 * time.Second)
@@ -218,10 +220,12 @@ func TestReliableWindowBounds(t *testing.T) {
 	p.mu.Unlock()
 	for i := 0; i < relWindow; i++ {
 		ep0.Send(1, Msg{Handler: HandlerUserBase, A0: uint64(i)})
+		ep0.Flush()
 	}
 	blocked := make(chan struct{})
 	go func() {
 		ep0.Send(1, Msg{Handler: HandlerUserBase, A0: relWindow})
+		ep0.Flush()
 		close(blocked)
 	}()
 	select {
@@ -276,6 +280,7 @@ func TestForgedAckCounted(t *testing.T) {
 	p.mu.Unlock()
 	for i := 0; i < 3; i++ {
 		ep0.Send(1, Msg{Handler: HandlerUserBase})
+		ep0.Flush()
 	}
 	sack := func(bits uint64) []byte { return binary.LittleEndian.AppendUint64(nil, bits) }
 	ack := func(cum uint32, trailer []byte) {
@@ -343,6 +348,7 @@ func TestLossRecoveryCost(t *testing.T) {
 				completions[i]++
 				completed++
 			})
+			ep0.Flush()
 			issued++
 		}
 		ep1.Poll()

@@ -11,28 +11,28 @@ import (
 	"sync/atomic"
 )
 
-// The UDP conduit models the paper's non-Intel configurations (§IV): the
-// job runs on one node with process-shared memory — every rank has direct
-// load/store access to every segment, so all RMA and atomic data movement
-// is performed through shared memory and completes synchronously — while
-// active messages (collective tokens, RPC acknowledgments, and the
-// internal protocol, should it ever fire) travel over real UDP datagrams
-// on the loopback interface.
+// The UDP conduit carries active messages over real UDP datagrams on the
+// loopback interface, in two world shapes. In an in-process world every
+// rank shares one address space and one node, as in the paper's
+// single-node UDP runs (§IV): RMA and atomic data movement is a direct
+// load/store on the target segment and completes synchronously, and only
+// the active messages (collective tokens, RPCs and their acknowledgments)
+// round-trip through the kernel. A closure-carrying message (a user RPC
+// body, a remote completion) cannot be serialized onto a socket in Go; in
+// this shape it is handed over through the in-memory queue and counted
+// (Stats.InMemFallbacks). In a multiproc world (Config.Multiproc) each
+// process hosts one rank, every other rank is a remote node, and every
+// remote operation crosses the wire; closure messages to another rank are
+// refused before injection (DESIGN.md).
 //
-// One honest deviation from a multi-process runtime is documented in
-// DESIGN.md: closure-carrying messages (user RPC bodies, remote
-// completions) cannot be serialized onto a socket in Go, so they are
-// delivered through the in-memory queue. This is sound because UDP-conduit
-// jobs are single-address-space by construction, exactly like the paper's
-// single-node UDP runs; wire-encodable messages genuinely round-trip
-// through the kernel.
-//
-// Every datagram starts with a one-byte frame tag. frameSingle carries one
-// wire message; frameBatch carries several small messages coalesced by the
-// sender (see Endpoint.BeginBurst), packed as:
+// Every datagram starts with a one-byte frame tag. frameBatch carries the
+// wire messages a sender staged for one destination (see coalescer and
+// DESIGN.md §7.3) — every payload datagram the senders in this file emit,
+// one message or many — packed as:
 //
 //	[frameBatch u8] [count u16 LE] count × { [len u32 LE] [encodeMsg bytes] }
 //
+// frameSingle, one unframed message, is still accepted on receive.
 // Neither travels bare: frameSeq wraps each in the reliability layer's
 // sequenced header (see reliable.go), and a bare frameSingle/frameBatch
 // arriving on a socket is counted and dropped — it would bypass the
@@ -155,6 +155,9 @@ type host struct {
 	// hbFrame is this rank's prebuilt heartbeat, and the prefix of its
 	// probes and goodbyes.
 	hbFrame [hbFrameLen]byte
+
+	// co stages this rank's outgoing wire messages until they leave.
+	co coalescer
 }
 
 // udpTransport is the per-domain socket state for the UDP conduit.
@@ -251,6 +254,8 @@ func (d *Domain) initUDP(newConn func(*net.UDPConn, *Domain) batchConn) error {
 			peers:   make([]peer, n),
 			hbFrame: hbFrameFor(r, d.inc),
 		}
+		h.co.bufs = make([]*wireBuf, n)
+		h.co.counts = make([]int, n)
 		for i := range h.peers {
 			p := &h.peers[i]
 			p.lc = fresh
@@ -502,23 +507,9 @@ func (d *Domain) deliverParsed(ep *Endpoint, wb *wireBuf, frame []byte) {
 	}
 }
 
-// sendUDP ships one wire message to the target rank's socket as a
-// sequenced frameSingle datagram, staging the encoding in a pooled buffer.
-func (d *Domain) sendUDP(from, to int, m *Msg) {
-	need := relHeaderLen + 1 + wireHeaderLen + len(m.Payload)
-	if need > maxUDPPayload {
-		panic(fmt.Sprintf("gasnet: AM payload %d bytes exceeds UDP conduit limit %d",
-			len(m.Payload), maxUDPPayload))
-	}
-	wb := d.arena.get(need)
-	wb.b = appendMsg(append(wb.b[:relHeaderLen], frameSingle), m)
-	d.rel.send(d.eps[from].host, to, wb)
-	wb.release()
-}
-
 // writeFrame puts one frame on the wire — a retransmission, a standalone
-// ack or a control frame, each of which keeps its own counter, or a first
-// transmission that reliability.send already counted in DatagramsSent.
+// ack or a control frame, each of which keeps its own counter. First
+// transmissions leave only through writeBatch.
 func (h *host) writeFrame(to int, frame []byte) {
 	d := h.ep.dom
 	if _, err := h.send.WriteToUDPAddrPort(frame, d.udp.addrOf(to)); err != nil {
@@ -534,7 +525,10 @@ func (h *host) writeFrame(to int, frame []byte) {
 
 // writeBatch counts and ships a set of staged first-transmission
 // datagrams through the sender's vectorized write path — one sendmmsg on
-// capable platforms, however many frames are staged.
+// capable platforms, however many frames are staged. DatagramsSent counts
+// first transmissions only: retransmissions and standalone acks keep
+// their own counters, so it stays the coalescing cost model — datagrams
+// the protocol decided to send — rather than a wire-traffic tally.
 func (h *host) writeBatch(frames []batchFrame) {
 	d := h.ep.dom
 	d.datagramsSent.Add(int64(len(frames)))
@@ -548,152 +542,270 @@ func (h *host) writeBatch(frames []batchFrame) {
 	}
 }
 
-// --- sender-side coalescing ---
+// --- when a wire message leaves ---
 
-// coalescer accumulates small wire messages per destination rank during a
-// send burst (Endpoint.BeginBurst/EndBurst), packing them into frameBatch
-// datagrams so a fan-in of k tokens costs one syscall instead of k. State
-// is owned by the endpoint's goroutine, like the rest of the send path.
-// The whole batch rides inside one sequenced frame and is retransmitted as
-// a unit.
+// coalescer is a hosted rank's send staging (DESIGN.md §7.3). Every wire
+// message Send hands the UDP conduit is packed into its destination's
+// frameBatch here; the staged set leaves in one vectorized write at the
+// owner's next progress call (Poll, PollInternal, Idle), at Flush or the
+// outermost EndBurst, at Domain.Close — or, for a rank that computes
+// without progress, from the reliability ticker once a batch has waited a
+// whole relTickInterval. A destination whose datagram fills is sealed at
+// once and waits in sendq for that write.
+// The whole batch rides inside one sequenced frame and is retransmitted
+// as a unit.
+//
+// The owner and the ticker both touch it, so mu guards every field but
+// since: the owner takes Lock (uncontended but for a backstop pass), the
+// ticker only TryLock, so the backstop never delays the owner by more
+// than its own pass and never blocks.
 type coalescer struct {
-	bufs   []*wireBuf // per destination; nil when no pending batch
-	counts []int      // messages packed per destination
-	dirty  []int      // destinations with pending data, in first-use order
+	mu     sync.Mutex
+	burst  int          // open BeginBurst nesting; > 0 holds the staged set
+	bufs   []*wireBuf   // per destination; nil when no batch is open
+	counts []int        // messages packed per destination
+	dirty  []int        // destinations with an open batch, in first-use order
+	sendq  []batchFrame // sealed frames awaiting the vectorized write
+	// since is the time the oldest open batch was opened, 0 when none is:
+	// the owner's lock-free "anything staged?" glance, and the backstop's
+	// age test.
+	since atomic.Int64
 }
 
-func newCoalescer(ranks int) *coalescer {
-	return &coalescer{
-		bufs:   make([]*wireBuf, ranks),
-		counts: make([]int, ranks),
-	}
-}
-
-// pending reports whether any destination has unflushed messages.
-func (c *coalescer) pending() bool { return len(c.dirty) > 0 }
-
-// add packs m for destination to, flushing the destination first if the
-// message would overflow the datagram. Oversized single messages panic,
-// matching the non-coalesced path.
-func (ep *Endpoint) coalesce(to int, m *Msg) {
-	c := ep.co
+// stage packs m into destination to's open batch, opening one if needed.
+// A message that does not fit the destination's datagram first seals the
+// full one. A batch opens in the smallest buffer class that holds its
+// first message and moves to a datagram-sized one when it outgrows it,
+// so a frame that carries one message pins no more than before
+// coalescing did in the retransmit queue. Owner goroutine only.
+func (h *host) stage(to int, m *Msg) {
 	need := 4 + wireHeaderLen + len(m.Payload)
 	if relHeaderLen+batchHeaderLen+need > maxUDPPayload {
+		// Checked before locking: the panic must leave the coalescer usable.
 		panic(fmt.Sprintf("gasnet: AM payload %d bytes exceeds UDP conduit limit %d",
 			len(m.Payload), maxUDPPayload))
 	}
+	c := &h.co
+	c.mu.Lock()
 	wb := c.bufs[to]
-	if wb != nil && (len(wb.b)+need > maxUDPPayload || c.counts[to] == 1<<16-1) {
-		// The overflowing split is staged, not written: it rides the same
-		// vectorized write as the rest of the burst at EndBurst.
-		ep.stageDest(to)
-		wb = nil
-	}
 	if wb == nil {
-		wb = ep.dom.arena.get(bufClassLarge)
-		// Reserve the (garbage for now) reliability header; the batch
-		// count is patched at flush, the header at trySeal.
-		wb.b = append(wb.b[:relHeaderLen], frameBatch, 0, 0)
-		c.bufs[to] = wb
+		if len(c.dirty) == 0 {
+			c.since.Store(clockRefresh())
+		}
+		wb = c.open(to, need, h.ep.dom)
 		c.dirty = append(c.dirty, to)
+	} else if len(wb.b)+need > maxUDPPayload || c.counts[to] == 1<<16-1 {
+		// The full datagram is sealed, not written: it rides the next
+		// vectorized write with the rest of the staged set (a full window
+		// writes it while the seal waits).
+		h.stageDest(to, true)
+		wb = c.open(to, need, h.ep.dom) // to stays in dirty
+	} else if len(wb.b)+need > cap(wb.b) {
+		big := h.ep.dom.arena.get(bufClassLarge)
+		big.b = append(big.b[:0], wb.b...)
+		wb.release()
+		wb, c.bufs[to] = big, big
 	}
 	lenOff := len(wb.b)
 	wb.b = append(wb.b, 0, 0, 0, 0)
 	wb.b = appendMsg(wb.b, m)
 	binary.LittleEndian.PutUint32(wb.b[lenOff:], uint32(len(wb.b)-lenOff-4))
 	c.counts[to]++
+	c.mu.Unlock()
 }
 
-// stageDest seals destination to's pending batch — stamping the batch
-// count and the sequence header, and taking a slot in the retransmit
-// queue — and stages the frame on the endpoint's send queue instead of
-// writing it, so EndBurst ships every destination's frame in one
-// vectorized write. The caller's buffer reference travels with the staged
-// frame and is released by flushStaged after the write; the retransmit
-// queue holds its own reference, exactly as on the immediate-write path.
-func (ep *Endpoint) stageDest(to int) {
-	c := ep.co
-	wb := c.bufs[to]
-	if wb == nil {
+// open starts destination to's batch in a pooled buffer with room for a
+// first entry of need bytes. Caller holds c.mu.
+func (c *coalescer) open(to, need int, d *Domain) *wireBuf {
+	wb := d.arena.get(relHeaderLen + batchHeaderLen + need)
+	// Reserve the (garbage for now) reliability header; the batch count
+	// is patched by stageDest, the header by trySeal.
+	wb.b = append(wb.b[:relHeaderLen], frameBatch, 0, 0)
+	c.bufs[to] = wb
+	return wb
+}
+
+// flush ships the staged set unless a burst holds it: the owner's
+// progress-time send point. The lock-free glance keeps an idle poll off
+// the mutex. Owner goroutine only.
+func (h *host) flush() {
+	c := &h.co
+	if c.since.Load() == 0 {
 		return
 	}
-	d := ep.dom
+	c.mu.Lock()
+	if c.burst == 0 {
+		h.shipStaged(true)
+	}
+	c.mu.Unlock()
+}
+
+// backstop is the ticker's share of the send rule: a batch staged for a
+// whole relTickInterval by an owner that has not called progress since
+// ships from here. It never blocks — TryLock, and trySeal leaves a batch
+// that meets a full window for the owner — and it reports each frame it
+// shipped in Stats.TickFlushes.
+func (h *host) backstop(now int64) {
+	c := &h.co
+	if t := c.since.Load(); t == 0 || now-t < int64(relTickInterval) || !c.mu.TryLock() {
+		return
+	}
+	if c.burst == 0 {
+		// Counted before the write, so a receiver never sees a frame the
+		// counter does not.
+		h.sealStaged(false)
+		h.ep.dom.tickFlushes.Add(int64(len(c.sendq)))
+		h.writeStaged()
+	}
+	c.mu.Unlock()
+}
+
+// shipStaged seals every open batch and writes the sealed set in one
+// vectorized write. block selects seal (wait out a full window: the
+// owner) or trySeal (leave the batch open: Close). Caller holds c.mu.
+func (h *host) shipStaged(block bool) {
+	h.sealStaged(block)
+	h.writeStaged()
+}
+
+// sealStaged seals every open batch onto sendq (see shipStaged). Caller
+// holds c.mu.
+func (h *host) sealStaged(block bool) {
+	c := &h.co
+	keep := c.dirty[:0]
+	for _, to := range c.dirty {
+		if !h.stageDest(to, block) {
+			keep = append(keep, to)
+		}
+	}
+	c.dirty = keep
+	if len(keep) == 0 {
+		c.since.Store(0)
+	}
+}
+
+// stageDest seals destination to's open batch — stamping the batch count
+// and the sequence header, and taking a slot in the retransmit queue — and
+// appends the frame to sendq for the next vectorized write. It reports
+// false only when !block and the window is full, leaving the batch open.
+// The buffer reference travels with the staged frame and is released by
+// writeStaged; the retransmit queue holds its own. Caller holds c.mu.
+func (h *host) stageDest(to int, block bool) bool {
+	c := &h.co
+	wb := c.bufs[to]
+	d := h.ep.dom
 	count := c.counts[to]
+	binary.LittleEndian.PutUint16(wb.b[relHeaderLen+1:relHeaderLen+3], uint16(count))
+	var ok bool
+	if block {
+		ok = d.rel.seal(h, to, wb)
+	} else {
+		var full bool
+		if ok, full = d.rel.trySeal(h, to, wb); full {
+			return false
+		}
+	}
 	c.bufs[to] = nil
 	c.counts[to] = 0
-	binary.LittleEndian.PutUint16(wb.b[relHeaderLen+1:relHeaderLen+3], uint16(count))
+	if !ok {
+		wb.release() // shutdown or a down peer: dropped
+		return true
+	}
 	if count > 1 {
 		d.coalescedBatches.Add(1)
 		d.coalescedMsgs.Add(int64(count))
 	}
-	// While the congestion window is full, the frames already staged but
-	// unwritten may be why no acknowledgments are coming: ship them so the
-	// window can drain.
-	if !d.rel.seal(ep.host, to, wb, ep.flushStaged) {
-		wb.release() // shutdown or down peer: dropped, exactly as rel.send drops it
-		return
-	}
-	ep.sendq = append(ep.sendq, batchFrame{b: wb.b, addr: d.udp.addrOf(to), wb: wb})
+	c.sendq = append(c.sendq, batchFrame{b: wb.b, addr: d.udp.addrOf(to), wb: wb})
+	return true
 }
 
-// flushStaged ships every staged frame in one vectorized write and
-// releases the staged buffer references.
-func (ep *Endpoint) flushStaged() {
-	if len(ep.sendq) == 0 {
+// writeStaged ships every sealed frame in one vectorized write and
+// releases the staged buffer references. Caller holds c.mu.
+func (h *host) writeStaged() {
+	c := &h.co
+	if len(c.sendq) == 0 {
 		return
 	}
-	ep.host.writeBatch(ep.sendq)
-	for i := range ep.sendq {
-		ep.sendq[i].wb.release()
-		ep.sendq[i] = batchFrame{}
+	h.writeBatch(c.sendq)
+	for i := range c.sendq {
+		c.sendq[i].wb.release()
+		c.sendq[i] = batchFrame{}
 	}
-	ep.sendq = ep.sendq[:0]
+	c.sendq = c.sendq[:0]
 }
 
-// flushSends stages every pending coalesced batch, then ships the staged
-// set in one vectorized write.
-func (ep *Endpoint) flushSends() {
-	c := ep.co
-	if c == nil {
-		return
+// shipAtClose ships what Close finds staged, without blocking: a frame
+// that meets a full window is dropped with the rest of the conduit state.
+// The owners are done by then; TryLock only guards against one that is
+// not.
+func (h *host) shipAtClose() {
+	if c := &h.co; c.mu.TryLock() {
+		h.shipStaged(false)
+		c.mu.Unlock()
 	}
+}
+
+// dropStaged releases whatever is still staged once the sockets are
+// closed.
+func (h *host) dropStaged() {
+	c := &h.co
+	c.mu.Lock()
 	for _, to := range c.dirty {
-		ep.stageDest(to)
+		if wb := c.bufs[to]; wb != nil {
+			wb.release()
+			c.bufs[to] = nil
+			c.counts[to] = 0
+		}
 	}
 	c.dirty = c.dirty[:0]
-	ep.flushStaged()
+	c.since.Store(0)
+	c.mu.Unlock()
 }
 
-// BeginBurst opens an injection burst: until the matching EndBurst, small
-// wire messages to a common destination are coalesced into one datagram on
-// the UDP conduit. Bursts nest; delivery of the buffered messages happens
-// at the outermost EndBurst (in-memory conduits deliver immediately, so
-// bursts are free no-ops there). Bursts must not contain polls or blocking
-// waits — they bracket pure injection loops, e.g. a collective's fan-out
-// of tokens.
+// Flush ships this rank's staged wire messages now, unless a burst is
+// open. Progress ships them anyway; Flush is for a caller that must put
+// its sends on the wire before it stops calling progress — the last token
+// of a collective, a send that precedes a teardown, a test that counts
+// frames. A no-op on the in-memory conduits.
+func (ep *Endpoint) Flush() {
+	if h := ep.host; h != nil {
+		h.flush()
+	}
+}
+
+// BeginBurst opens an injection burst: until the matching EndBurst, the
+// rank's staged wire messages stay staged — Flush, Poll and the ticker's
+// backstop all hold them — so one burst of sends leaves as one datagram
+// per destination however much progress it spans. Bursts nest; the
+// outermost EndBurst ships. Send stages without a burst too; a burst only
+// widens the batch. A no-op on the in-memory conduits, which deliver at
+// Send.
 func (ep *Endpoint) BeginBurst() {
-	if ep.dom.cfg.Conduit != UDP {
-		return
+	if h := ep.host; h != nil {
+		h.co.mu.Lock()
+		h.co.burst++
+		h.co.mu.Unlock()
 	}
-	if ep.co == nil {
-		ep.co = newCoalescer(ep.dom.cfg.Ranks)
-	}
-	ep.burst++
 }
 
-// EndBurst closes an injection burst, flushing all coalesced messages when
-// the outermost burst ends.
+// EndBurst closes an injection burst, shipping the staged set when the
+// outermost burst ends.
 func (ep *Endpoint) EndBurst() {
-	if ep.dom.cfg.Conduit != UDP {
+	h := ep.host
+	if h == nil {
 		return
 	}
-	if ep.burst == 0 {
+	c := &h.co
+	c.mu.Lock()
+	if c.burst == 0 {
+		c.mu.Unlock()
 		panic("gasnet: EndBurst without matching BeginBurst")
 	}
-	ep.burst--
-	if ep.burst == 0 {
-		ep.flushSends()
+	c.burst--
+	if c.burst == 0 {
+		h.shipStaged(true)
 	}
+	c.mu.Unlock()
 }
 
 // isClosed reports whether close has begun; the reader and batch-write
@@ -743,12 +855,19 @@ func (d *Domain) sendBye() {
 // Close releases conduit resources: the reliability ticker, the UDP
 // sockets and reader goroutines, and any buffers still parked in
 // retransmission or reorder queues. It is idempotent and a no-op for the
-// in-memory conduits. Endpoints must not be driven after Close. In a
-// multiproc world, departure is announced to the surviving peers first
-// (sendBye), integrating graceful teardown with the liveness machine.
+// in-memory conduits. Endpoints must not be driven after Close. Staged
+// sends ship first, then, in a multiproc world, departure is announced to
+// the surviving peers (sendBye), integrating graceful teardown with the
+// liveness machine — a peer never hears the goodbye before a message
+// sent ahead of it.
 func (d *Domain) Close() {
 	if d.udp == nil {
 		return
+	}
+	if !d.udp.isClosed() {
+		for _, h := range d.udp.hosts {
+			h.shipAtClose()
+		}
 	}
 	d.sendBye()
 	d.rel.shutdown()

@@ -100,18 +100,47 @@ func TestUDPCloseIdempotent(t *testing.T) {
 	d.Close() // must not panic or deadlock
 }
 
+// TestUDPOversizedPayloadPanics: an oversized payload panics at Send, and
+// the panic leaves the sender's staging usable — a later Send is
+// delivered and Close returns.
 func TestUDPOversizedPayloadPanics(t *testing.T) {
 	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP})
-	defer d.Close()
-	defer func() {
-		if recover() == nil {
-			t.Error("oversized payload should panic")
-		}
+	got := 0
+	d.RegisterHandler(HandlerUserBase, func(*Endpoint, *Msg) { got++ })
+	ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("oversized payload should panic")
+			}
+		}()
+		ep0.Send(1, Msg{
+			Handler: HandlerUserBase,
+			Payload: make([]byte, maxUDPPayload+1),
+		})
 	}()
-	d.Endpoint(0).Send(1, Msg{
-		Handler: HandlerUserBase,
-		Payload: make([]byte, maxUDPPayload+1),
-	})
+
+	ep0.Send(1, Msg{Handler: HandlerUserBase})
+	ep0.Flush()
+	deadline := time.Now().Add(10 * time.Second)
+	for got == 0 && time.Now().Before(deadline) {
+		if ep1.Poll() == 0 {
+			ep1.Park()
+		}
+	}
+	if got != 1 {
+		t.Errorf("send after the panic delivered %d times, want 1", got)
+	}
+	closed := make(chan struct{})
+	go func() {
+		d.Close()
+		close(closed)
+	}()
+	select {
+	case <-closed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Close hung after an oversized-payload panic")
+	}
 }
 
 // TestUnsequencedFrameDropped: payload travels only inside sequenced

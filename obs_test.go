@@ -9,10 +9,8 @@ import (
 	"encoding/json"
 	"errors"
 	"io"
-	"net"
 	"net/http"
 	"net/http/httptest"
-	"net/netip"
 	"strings"
 	"testing"
 	"time"
@@ -234,27 +232,9 @@ func TestMetricsHandlerHTTPTest(t *testing.T) {
 func TestMetricsMultiprocOwnRowsOnly(t *testing.T) {
 	defer leakCheck(t)()
 	const n = 2
-	conns := make([]*net.UDPConn, n)
-	peers := make([]netip.AddrPort, n)
-	for i := range conns {
-		c, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})
-		if err != nil {
-			t.Fatal(err)
-		}
-		conns[i] = c
-		peers[i] = c.LocalAddr().(*net.UDPAddr).AddrPort()
-	}
-	worlds := make([]*gupcxx.World, n)
-	for i := range worlds {
-		w, err := gupcxx.NewWorld(gupcxx.Config{
-			Ranks: n, Conduit: gupcxx.UDP, SegmentBytes: 1 << 12,
-			Multiproc: true, Self: i, Peers: peers, SelfConn: conns[i],
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
+	worlds := newProcessPair(t)
+	for _, w := range worlds {
 		defer w.Close()
-		worlds[i] = w
 	}
 
 	ts := httptest.NewServer(worlds[0].MetricsHandler())

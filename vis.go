@@ -70,8 +70,8 @@ func RputStrided[T any](r *Rank, src []T, dst GlobalPtr[T], sec Strided2D, cxs .
 		Kind:  core.OpVIS,
 		Frags: sec.Rows,
 		// One admission covers the whole fragment fan-out: admission is an
-		// overload signal, not a per-frame reservation, and rel.send bounds
-		// any residual burst against the peer's window.
+		// overload signal, not a per-frame reservation, and the sender's
+		// flush bounds any residual burst against the peer's window.
 		Peer:  int(dst.rank),
 		Admit: true,
 		Inject: func(rfn func(ctx any), done func(error)) {
@@ -169,8 +169,8 @@ func RputIndexed[T any](r *Rank, vals []T, dsts []GlobalPtr[T], cxs ...Cx) Resul
 		}, cxs)
 	}
 	// Destinations may span ranks; admission is checked against the first
-	// remote one — an advisory overload probe, with rel.send bounding the
-	// rest against each peer's own window.
+	// remote one — an advisory overload probe, with the sender's flush
+	// bounding the rest against each peer's own window.
 	admitPeer := -1
 	for _, d := range dsts {
 		if !r.localTo(d.rank) {

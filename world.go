@@ -635,6 +635,9 @@ func (w *World) Run(fn func(*Rank)) error {
 // without detection mid-drain.
 func (w *World) drainWire(r *Rank) {
 	self := w.dom.Config().Self
+	// Staged sends are not in flight yet: ship them so the count below
+	// sees them.
+	r.ep.Flush()
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
 		pending := r.ep.PendingOps()
