@@ -44,8 +44,11 @@ func NewAtomicDomain[T Word](r *Rank) *AtomicDomain[T] {
 	return &AtomicDomain[T]{r: r}
 }
 
-// apply runs a value-less atomic op through the unified pipeline.
-func (ad *AtomicDomain[T]) apply(p GlobalPtr[T], op gasnet.AmoOp, o1, o2 T, cxs []Cx) Result {
+// update runs a value-less atomic op through the unified pipeline. A
+// non-nil dst receives the old value — the fetch-to-memory form (§III-B):
+// dst is written by the time operation completion is delivered. Off-node,
+// the substrate stores the old word straight into dst.
+func (ad *AtomicDomain[T]) update(p GlobalPtr[T], op gasnet.AmoOp, o1, o2 T, dst *T, cxs []Cx) Result {
 	r := ad.r
 	cxs = cxsOrDefault(cxs)
 	if r.localTo(p.rank) {
@@ -53,103 +56,44 @@ func (ad *AtomicDomain[T]) apply(p GlobalPtr[T], op gasnet.AmoOp, o1, o2 T, cxs 
 			Kind:  core.OpAtomic,
 			Local: true,
 			Move: func() {
-				gasnet.ApplyAmo(r.w.dom.Segment(int(p.rank)), p.off, op, uint64(o1), uint64(o2))
+				old := T(gasnet.ApplyAmo(r.w.dom.Segment(int(p.rank)), p.off, op, uint64(o1), uint64(o2)))
+				if dst != nil {
+					*dst = old
+				}
 			},
 		}, cxs)
+	}
+	var old []byte
+	if dst != nil {
+		old = gasnet.ValueBytes(dst)
 	}
 	return r.eng.Initiate(core.OpDesc{
 		Kind:  core.OpAtomic,
 		Peer:  int(p.rank),
 		Admit: true,
 		Inject: func(_ func(ctx any), done func(error)) {
-			r.ep.AmoRemote(int(p.rank), p.off, op, uint64(o1), uint64(o2), func(_ uint64, err error) { done(err) })
+			r.ep.AmoRemote(int(p.rank), p.off, op, uint64(o1), uint64(o2), old, done)
 		},
 	}, cxs)
 }
 
-// fetch runs a fetching atomic op, producing the old value via a future.
-func (ad *AtomicDomain[T]) fetch(p GlobalPtr[T], op gasnet.AmoOp, o1, o2 T, mode []Mode) FutureV[T] {
+// fetch runs a fetching atomic op, producing the old value through the
+// returned future or, when pv is non-nil, through pv (the future is then
+// invalid). Off-node, the substrate stores the old word straight into the
+// value slot.
+func (ad *AtomicDomain[T]) fetch(p GlobalPtr[T], op gasnet.AmoOp, o1, o2 T, pv *PromiseV[T], mode []Mode) FutureV[T] {
 	r := ad.r
-	m := core.ModeDefault
-	if len(mode) > 0 {
-		m = mode[0]
-	}
 	return core.InitiateV(r.eng, core.OpDescV[T]{
 		Kind:  core.OpAtomic,
 		Local: r.localTo(p.rank),
-		Mode:  m,
+		Mode:  modeOf(mode),
 		Peer:  int(p.rank),
 		Admit: true,
 		MoveV: func() T {
 			return T(gasnet.ApplyAmo(r.w.dom.Segment(int(p.rank)), p.off, op, uint64(o1), uint64(o2)))
 		},
 		Inject: func(slot *T, done func(error)) {
-			r.ep.AmoRemote(int(p.rank), p.off, op, uint64(o1), uint64(o2), func(old uint64, err error) {
-				if err == nil {
-					*slot = T(old)
-				}
-				done(err)
-			})
-		},
-	})
-}
-
-// fetchInto runs a fetching atomic op that writes the old value to the
-// local address dst instead of producing it (§III-B). Completion is
-// value-less: dst is guaranteed written when operation completion is
-// delivered.
-func (ad *AtomicDomain[T]) fetchInto(p GlobalPtr[T], op gasnet.AmoOp, o1, o2 T, dst *T, cxs []Cx) Result {
-	r := ad.r
-	cxs = cxsOrDefault(cxs)
-	if r.localTo(p.rank) {
-		return r.eng.Initiate(core.OpDesc{
-			Kind:  core.OpAtomic,
-			Local: true,
-			Move: func() {
-				*dst = T(gasnet.ApplyAmo(r.w.dom.Segment(int(p.rank)), p.off, op, uint64(o1), uint64(o2)))
-			},
-		}, cxs)
-	}
-	return r.eng.Initiate(core.OpDesc{
-		Kind:  core.OpAtomic,
-		Peer:  int(p.rank),
-		Admit: true,
-		Inject: func(_ func(ctx any), done func(error)) {
-			r.ep.AmoRemote(int(p.rank), p.off, op, uint64(o1), uint64(o2), func(old uint64, err error) {
-				if err == nil {
-					*dst = T(old)
-				}
-				done(err)
-			})
-		},
-	}, cxs)
-}
-
-// fetchPromise runs a fetching atomic op delivering the old value through
-// a value-carrying promise; off-node, the substrate writes the old value
-// straight into the promise's value slot.
-func (ad *AtomicDomain[T]) fetchPromise(p GlobalPtr[T], op gasnet.AmoOp, o1, o2 T, pv *PromiseV[T], mode []Mode) {
-	r := ad.r
-	m := core.ModeDefault
-	if len(mode) > 0 {
-		m = mode[0]
-	}
-	core.InitiateV(r.eng, core.OpDescV[T]{
-		Kind:  core.OpAtomic,
-		Local: r.localTo(p.rank),
-		Mode:  m,
-		Peer:  int(p.rank),
-		Admit: true,
-		MoveV: func() T {
-			return T(gasnet.ApplyAmo(r.w.dom.Segment(int(p.rank)), p.off, op, uint64(o1), uint64(o2)))
-		},
-		Inject: func(slot *T, done func(error)) {
-			r.ep.AmoRemote(int(p.rank), p.off, op, uint64(o1), uint64(o2), func(old uint64, err error) {
-				if err == nil {
-					*slot = T(old)
-				}
-				done(err)
-			})
+			r.ep.AmoRemote(int(p.rank), p.off, op, uint64(o1), uint64(o2), gasnet.ValueBytes(slot), done)
 		},
 		Promise: pv,
 	})
@@ -157,86 +101,86 @@ func (ad *AtomicDomain[T]) fetchPromise(p GlobalPtr[T], op gasnet.AmoOp, o1, o2 
 
 // Load atomically reads the value at p.
 func (ad *AtomicDomain[T]) Load(p GlobalPtr[T], mode ...Mode) FutureV[T] {
-	return ad.fetch(p, gasnet.AmoLoad, 0, 0, mode)
+	return ad.fetch(p, gasnet.AmoLoad, 0, 0, nil, mode)
 }
 
 // Store atomically writes v to p (value-less completion).
 func (ad *AtomicDomain[T]) Store(p GlobalPtr[T], v T, cxs ...Cx) Result {
-	return ad.apply(p, gasnet.AmoStore, v, 0, cxs)
+	return ad.update(p, gasnet.AmoStore, v, 0, nil, cxs)
 }
 
 // Add atomically adds v to the value at p — non-fetching (§III-B).
 func (ad *AtomicDomain[T]) Add(p GlobalPtr[T], v T, cxs ...Cx) Result {
-	return ad.apply(p, gasnet.AmoAdd, v, 0, cxs)
+	return ad.update(p, gasnet.AmoAdd, v, 0, nil, cxs)
 }
 
 // Xor atomically xors v into the value at p — non-fetching.
 func (ad *AtomicDomain[T]) Xor(p GlobalPtr[T], v T, cxs ...Cx) Result {
-	return ad.apply(p, gasnet.AmoXor, v, 0, cxs)
+	return ad.update(p, gasnet.AmoXor, v, 0, nil, cxs)
 }
 
 // And atomically ands v into the value at p — non-fetching.
 func (ad *AtomicDomain[T]) And(p GlobalPtr[T], v T, cxs ...Cx) Result {
-	return ad.apply(p, gasnet.AmoAnd, v, 0, cxs)
+	return ad.update(p, gasnet.AmoAnd, v, 0, nil, cxs)
 }
 
 // Or atomically ors v into the value at p — non-fetching.
 func (ad *AtomicDomain[T]) Or(p GlobalPtr[T], v T, cxs ...Cx) Result {
-	return ad.apply(p, gasnet.AmoOr, v, 0, cxs)
+	return ad.update(p, gasnet.AmoOr, v, 0, nil, cxs)
 }
 
 // FetchAdd atomically adds v to the value at p, producing the old value.
 func (ad *AtomicDomain[T]) FetchAdd(p GlobalPtr[T], v T, mode ...Mode) FutureV[T] {
-	return ad.fetch(p, gasnet.AmoAdd, v, 0, mode)
+	return ad.fetch(p, gasnet.AmoAdd, v, 0, nil, mode)
 }
 
 // FetchXor atomically xors v into the value at p, producing the old value.
 func (ad *AtomicDomain[T]) FetchXor(p GlobalPtr[T], v T, mode ...Mode) FutureV[T] {
-	return ad.fetch(p, gasnet.AmoXor, v, 0, mode)
+	return ad.fetch(p, gasnet.AmoXor, v, 0, nil, mode)
 }
 
 // Exchange atomically replaces the value at p with v, producing the old
 // value.
 func (ad *AtomicDomain[T]) Exchange(p GlobalPtr[T], v T, mode ...Mode) FutureV[T] {
-	return ad.fetch(p, gasnet.AmoSwap, v, 0, mode)
+	return ad.fetch(p, gasnet.AmoSwap, v, 0, nil, mode)
 }
 
 // CompareExchange atomically replaces the value at p with desired if it
 // equals expected, producing the previous value.
 func (ad *AtomicDomain[T]) CompareExchange(p GlobalPtr[T], expected, desired T, mode ...Mode) FutureV[T] {
-	return ad.fetch(p, gasnet.AmoCAS, expected, desired, mode)
+	return ad.fetch(p, gasnet.AmoCAS, expected, desired, nil, mode)
 }
 
 // FetchAddInto atomically adds v to the value at p and writes the old
 // value to the local address dst — the paper's fetch-to-memory form.
 func (ad *AtomicDomain[T]) FetchAddInto(p GlobalPtr[T], v T, dst *T, cxs ...Cx) Result {
-	return ad.fetchInto(p, gasnet.AmoAdd, v, 0, dst, cxs)
+	return ad.update(p, gasnet.AmoAdd, v, 0, dst, cxs)
 }
 
 // FetchXorInto atomically xors v into the value at p and writes the old
 // value to dst.
 func (ad *AtomicDomain[T]) FetchXorInto(p GlobalPtr[T], v T, dst *T, cxs ...Cx) Result {
-	return ad.fetchInto(p, gasnet.AmoXor, v, 0, dst, cxs)
+	return ad.update(p, gasnet.AmoXor, v, 0, dst, cxs)
 }
 
 // ExchangeInto atomically replaces the value at p with v and writes the
 // old value to dst.
 func (ad *AtomicDomain[T]) ExchangeInto(p GlobalPtr[T], v T, dst *T, cxs ...Cx) Result {
-	return ad.fetchInto(p, gasnet.AmoSwap, v, 0, dst, cxs)
+	return ad.update(p, gasnet.AmoSwap, v, 0, dst, cxs)
 }
 
 // CompareExchangeInto performs CompareExchange and writes the previous
 // value to dst.
 func (ad *AtomicDomain[T]) CompareExchangeInto(p GlobalPtr[T], expected, desired T, dst *T, cxs ...Cx) Result {
-	return ad.fetchInto(p, gasnet.AmoCAS, expected, desired, dst, cxs)
+	return ad.update(p, gasnet.AmoCAS, expected, desired, dst, cxs)
 }
 
 // FetchAddPromise performs FetchAdd, delivering the old value through pv.
 func (ad *AtomicDomain[T]) FetchAddPromise(p GlobalPtr[T], v T, pv *PromiseV[T], mode ...Mode) {
-	ad.fetchPromise(p, gasnet.AmoAdd, v, 0, pv, mode)
+	ad.fetch(p, gasnet.AmoAdd, v, 0, pv, mode)
 }
 
 // FetchXorPromise performs FetchXor, delivering the old value through pv.
 func (ad *AtomicDomain[T]) FetchXorPromise(p GlobalPtr[T], v T, pv *PromiseV[T], mode ...Mode) {
-	ad.fetchPromise(p, gasnet.AmoXor, v, 0, pv, mode)
+	ad.fetch(p, gasnet.AmoXor, v, 0, pv, mode)
 }

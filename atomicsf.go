@@ -43,7 +43,7 @@ func (ad *AtomicDomainF64) applyF(p GlobalPtr[float64], op gasnet.AmoOp, v float
 		Peer:  int(p.rank),
 		Admit: true,
 		Inject: func(_ func(ctx any), done func(error)) {
-			r.ep.AmoRemote(int(p.rank), p.off, op, bits, 0, func(_ uint64, err error) { done(err) })
+			r.ep.AmoRemote(int(p.rank), p.off, op, bits, 0, nil, done)
 		},
 	}, cxs)
 }
@@ -51,27 +51,19 @@ func (ad *AtomicDomainF64) applyF(p GlobalPtr[float64], op gasnet.AmoOp, v float
 // fetchF runs a fetching float atomic op, producing the old value.
 func (ad *AtomicDomainF64) fetchF(p GlobalPtr[float64], op gasnet.AmoOp, v float64, mode []Mode) FutureV[float64] {
 	r := ad.r
-	m := core.ModeDefault
-	if len(mode) > 0 {
-		m = mode[0]
-	}
 	bits := math.Float64bits(v)
 	return core.InitiateV(r.eng, core.OpDescV[float64]{
 		Kind:  core.OpAtomic,
 		Local: r.localTo(p.rank),
-		Mode:  m,
+		Mode:  modeOf(mode),
 		Peer:  int(p.rank),
 		Admit: true,
 		MoveV: func() float64 {
 			return math.Float64frombits(gasnet.ApplyAmo(r.w.dom.Segment(int(p.rank)), p.off, op, bits, 0))
 		},
 		Inject: func(slot *float64, done func(error)) {
-			r.ep.AmoRemote(int(p.rank), p.off, op, bits, 0, func(old uint64, err error) {
-				if err == nil {
-					*slot = math.Float64frombits(old)
-				}
-				done(err)
-			})
+			// The slot receives the raw word, which is its float64 as is.
+			r.ep.AmoRemote(int(p.rank), p.off, op, bits, 0, gasnet.ValueBytes(slot), done)
 		},
 	})
 }

@@ -111,20 +111,6 @@ func (p *PromiseV[T]) DeliverDeferred(v T) {
 	p.c.eng.deferFulfill(&p.c.cell)
 }
 
-// ValueSlot exposes the promise's value storage so an asynchronous
-// operation can have the substrate write the arriving value in place (no
-// intermediate per-call cell); pair with DeliverInPlace.
-func (p *PromiseV[T]) ValueSlot() *T { return &p.c.v }
-
-// DeliverInPlace resolves the bound operation's dependency for a value
-// already written through ValueSlot. It must run on the owning rank's
-// goroutine inside the progress engine.
-func (p *PromiseV[T]) DeliverInPlace() { p.c.fulfill(1) }
-
-// DeliverError resolves the bound operation's dependency as a failure; the
-// promise's future carries err once finalized (FutureV.Err).
-func (p *PromiseV[T]) DeliverError(err error) { p.c.fulfillErr(err) }
-
 // Err returns the failure recorded on the promise, or nil.
 func (p *PromiseV[T]) Err() error { return p.c.err }
 

@@ -283,8 +283,9 @@ type Stats struct {
 	// was already down.
 	DownPeerFails int64
 	// BadCookieDrops counts acknowledgments discarded because their
-	// cookie matched no outstanding operation (stale replies from a
-	// declared-dead peer, or corrupt frames); BadHandlerDrops counts
+	// cookie matched no outstanding operation of their reply kind (stale
+	// replies from a declared-dead peer, or corrupt or forged frames);
+	// BadHandlerDrops counts
 	// messages discarded for an unregistered handler id. Both were fatal
 	// before the failure path existed; inbound datagrams are not trusted
 	// to crash the job.
@@ -1003,167 +1004,3 @@ func (ep *Endpoint) Park() {
 // PendingOps reports the number of outstanding remote operations initiated
 // by this endpoint that have not yet completed.
 func (ep *Endpoint) PendingOps() int { return ep.ops.live() }
-
-// opTable tracks outstanding remote operations by cookie. It is only
-// touched by the owning rank's goroutine (initiation, the ack handler,
-// and the liveness sweep all run there), so it needs no locking.
-// opSlot is one outstanding operation's completion callback plus the rank
-// it targets (so a peer-death sweep can find it). Exactly one of the two
-// callback fields is set: msg consumes the reply message (gets and
-// atomics, whose acknowledgment carries data; a nil Msg with non-nil
-// error reports the reply will never come), done is a bare acknowledgment
-// (puts). Storing the bare form directly — instead of wrapping it in a
-// closure — keeps the put injection path allocation-free: done's
-// signature matches the pipeline's cached completion callback.
-type opSlot struct {
-	msg  func(*Msg, error)
-	done func(error)
-	// dst, when non-nil on a bare-done slot, is the caller's destination
-	// buffer: handleAck copies the reply payload into it before invoking
-	// done. This moves the copy a get-class reply needs out of a per-call
-	// closure and into the table, keeping steady-state gets
-	// allocation-free like puts.
-	dst  []byte
-	peer int32
-	// gen is the peer's death generation at registration (Endpoint.
-	// DownGen): a peer-death sweep fails only entries whose gen predates
-	// the death, so operations registered against a readmitted peer
-	// survive the sweep burying its previous incarnation.
-	gen uint32
-}
-
-type opTable struct {
-	slots []opSlot
-	free  []uint32
-	n     int
-
-	// Lifetime tallies, surfaced through Stats: started counts every
-	// registered remote operation, acked every acknowledgment consumed,
-	// failed every entry retired with an error (peer declared down). They
-	// are the substrate leg of the runtime's op-lifecycle phase
-	// instrumentation (started pairs with initiation, acked with the
-	// wire-acked phase, failed with the failed phase). Atomic because
-	// Stats() snapshots them from scrape goroutines while the owner
-	// goroutine mutates the table.
-	started atomic.Int64
-	acked   atomic.Int64
-	failed  atomic.Int64
-}
-
-// add registers a reply-consuming completion callback and returns its
-// cookie. gen is the target's death generation at registration
-// (Endpoint.DownGen), as for all three registration forms.
-func (t *opTable) add(peer int, gen uint32, cb func(*Msg, error)) uint64 {
-	return t.register(opSlot{msg: cb, peer: int32(peer), gen: gen})
-}
-
-// addDone registers a bare acknowledgment callback and returns its
-// cookie.
-func (t *opTable) addDone(peer int, gen uint32, done func(error)) uint64 {
-	return t.register(opSlot{done: done, peer: int32(peer), gen: gen})
-}
-
-// addGet registers a bare acknowledgment callback whose reply payload is
-// copied into dst before done runs — the closure-free get-class
-// registration. On failure dst is untouched and done receives the error.
-func (t *opTable) addGet(peer int, gen uint32, dst []byte, done func(error)) uint64 {
-	return t.register(opSlot{done: done, dst: dst, peer: int32(peer), gen: gen})
-}
-
-func (t *opTable) register(s opSlot) uint64 {
-	t.n++
-	t.started.Add(1)
-	if len(t.free) > 0 {
-		id := t.free[len(t.free)-1]
-		t.free = t.free[:len(t.free)-1]
-		t.slots[id] = s
-		return uint64(id)
-	}
-	t.slots = append(t.slots, s)
-	return uint64(len(t.slots) - 1)
-}
-
-// take removes and returns the callback slot for cookie. An unknown
-// cookie — out of range, or already retired (a stale reply from a peer
-// whose operations were failed by the liveness sweep) — yields an empty
-// slot; the caller must check and drop. Crashing was only acceptable
-// while cookies could not outlive their entries.
-func (t *opTable) take(cookie uint64) (opSlot, bool) {
-	if cookie >= uint64(len(t.slots)) {
-		return opSlot{}, false
-	}
-	s := t.slots[cookie]
-	if s.msg == nil && s.done == nil {
-		return opSlot{}, false
-	}
-	t.slots[cookie] = opSlot{}
-	t.free = append(t.free, uint32(cookie))
-	t.n--
-	t.acked.Add(1)
-	return s, true
-}
-
-// failPeer retires every entry targeting peer whose registration
-// generation predates gen (the peer's current death generation), invoking
-// its callback with err (nil Msg), and returns the number failed.
-// Entries registered at or after gen belong to the peer's readmitted
-// incarnation and are left standing. Owner goroutine only.
-func (t *opTable) failPeer(peer int32, gen uint32, err error) int {
-	n := 0
-	for id := range t.slots {
-		s := t.slots[id]
-		if (s.msg == nil && s.done == nil) || s.peer != peer || s.gen >= gen {
-			continue
-		}
-		t.slots[id] = opSlot{}
-		t.free = append(t.free, uint32(id))
-		t.n--
-		t.failed.Add(1)
-		n++
-		if s.msg != nil {
-			s.msg(nil, err)
-		} else {
-			s.done(err)
-		}
-	}
-	return n
-}
-
-// live reports the number of registered, uncompleted operations.
-func (t *opTable) live() int { return t.n }
-
-// ackBadAddr is the A3 status a reply carries when the request was refused
-// for an out-of-segment address or invalid op code (A3 zero means success,
-// so pre-existing peers' replies decode compatibly). The requester's
-// callback receives ErrBadAddress instead of the reply data.
-const ackBadAddr = 1
-
-// handleAck completes an outstanding operation: the reply's A0 carries the
-// cookie. Shared by put acks, get replies, and atomic replies; the
-// registered callback interprets the rest of the message. Unknown cookies
-// are counted and dropped (stale replies outliving a peer-death sweep).
-func handleAck(ep *Endpoint, m *Msg) {
-	s, ok := ep.ops.take(m.A0)
-	if !ok {
-		ep.dom.badCookieDrops.Add(1)
-		return
-	}
-	if m.A3 != 0 {
-		// The target refused the request (bad address or op code): the
-		// operation completes with an error, not with reply data.
-		if s.msg != nil {
-			s.msg(nil, ErrBadAddress)
-		} else {
-			s.done(ErrBadAddress)
-		}
-		return
-	}
-	if s.msg != nil {
-		s.msg(m, nil)
-	} else {
-		if s.dst != nil {
-			copy(s.dst, m.Payload)
-		}
-		s.done(nil)
-	}
-}

@@ -218,7 +218,7 @@ func TestPutGetAmoRemote(t *testing.T) {
 	// Atomic fetch-add.
 	var old uint64
 	amoDone := false
-	ep0.AmoRemote(1, off, AmoAdd, 10, 0, func(o uint64, _ error) { old = o; amoDone = true })
+	ep0.AmoRemote(1, off, AmoAdd, 10, 0, ValueBytes(&old), func(error) { amoDone = true })
 	spinBoth(t, d, func() bool { return amoDone })
 	want := binary.NativeEndian.Uint64(data)
 	if old != want {
@@ -271,7 +271,7 @@ func TestOpTableRecycling(t *testing.T) {
 	off, _ := seg1.Alloc(8)
 	for i := 0; i < 100; i++ {
 		done := false
-		ep0.AmoRemote(1, off, AmoAdd, 1, 0, func(uint64, error) { done = true })
+		ep0.AmoRemote(1, off, AmoAdd, 1, 0, nil, func(error) { done = true })
 		spinBoth(t, d, func() bool { return done })
 	}
 	if ep0.PendingOps() != 0 {

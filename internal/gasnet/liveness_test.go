@@ -60,7 +60,7 @@ func TestRetransmitExhaustionMarksPeerDown(t *testing.T) {
 		t.Errorf("post-down get resolved with %v at injection", eager)
 	}
 	var amoErr error
-	ep0.AmoRemote(1, 0, AmoAdd, 1, 0, func(_ uint64, err error) { amoErr = err })
+	ep0.AmoRemote(1, 0, AmoAdd, 1, 0, nil, func(err error) { amoErr = err })
 	if !errors.Is(amoErr, ErrPeerUnreachable) {
 		t.Errorf("post-down amo resolved with %v at injection", amoErr)
 	}

@@ -38,10 +38,14 @@ type mmsghdr struct {
 
 // mmsgConn is the vectorized batchConn: writes and reads move many
 // datagrams per syscall. The embedded UDPConn still serves the
-// single-frame path (WriteToUDPAddrPort). Write scratch is mutex-guarded
-// — the rank goroutine, the retransmit sweep, and heartbeats share the
-// send path — while read scratch is owned by the socket's single reader
-// goroutine.
+// single-frame path (WriteToUDPAddrPort). Write scratch and state are
+// mutex-guarded — the rank goroutine, the retransmit sweep, and heartbeats
+// share the send path — while read scratch and state are owned by the
+// socket's single reader goroutine.
+//
+// The RawConn callbacks are bound once, as method values whose per-call
+// state lives in these fields: a closure built per call would allocate
+// itself plus every variable it captures, on every syscall.
 type mmsgConn struct {
 	*net.UDPConn
 	rc syscall.RawConn
@@ -51,9 +55,17 @@ type mmsgConn struct {
 	whdrs []mmsghdr
 	wiovs []syscall.Iovec
 	wsas  []syscall.RawSockaddrInet4
+	wn    int   // frames in this write
+	wsent int   // frames the kernel has taken so far
+	werr  error // a hard send error
+	write func(fd uintptr) bool
 
 	rhdrs []mmsghdr
 	riovs []syscall.Iovec
+	rn    int   // datagram slots offered to this read
+	rgot  int   // datagrams received
+	rerr  error // a hard receive error
+	read  func(fd uintptr) bool
 }
 
 // newBatchConn wraps conn in the vectorized adapter, or the sequential
@@ -63,7 +75,9 @@ func newBatchConn(conn *net.UDPConn, d *Domain) batchConn {
 	if err != nil {
 		return seqConn{conn}
 	}
-	return &mmsgConn{UDPConn: conn, rc: rc, d: d}
+	c := &mmsgConn{UDPConn: conn, rc: rc, d: d}
+	c.write, c.read = c.sendmmsg, c.recvmmsg
+	return c
 }
 
 // maxHW raises an atomic high-water mark to v if it is the new maximum.
@@ -112,34 +126,38 @@ func (c *mmsgConn) WriteBatch(frames []batchFrame) error {
 		hdrs[i].hdr.Iov = &iovs[i]
 		hdrs[i].hdr.Iovlen = 1
 	}
-	sent := 0
-	var opErr error
-	err := c.rc.Write(func(fd uintptr) bool {
-		for sent < n {
-			r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
-				uintptr(unsafe.Pointer(&hdrs[sent])), uintptr(n-sent), 0, 0, 0)
-			switch errno {
-			case 0:
-				c.d.sendmmsgCalls.Add(1)
-				c.d.sendBatchFrames.Add(int64(r))
-				maxHW(&c.d.sendBatchHW, int64(r))
-				sent += int(r)
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // socket buffer full: park until writable
-			default:
-				opErr = errno
-				return true
-			}
-		}
-		return true
-	})
+	c.wn, c.wsent, c.werr = n, 0, nil
+	err := c.rc.Write(c.write)
 	runtime.KeepAlive(frames)
-	if opErr != nil {
-		return opErr
+	if c.werr != nil {
+		return c.werr
 	}
 	return err
+}
+
+// sendmmsg is WriteBatch's RawConn callback: it sends the staged headers
+// from c.wsent on, reporting false to park until the socket is writable.
+// Runs under wmu.
+func (c *mmsgConn) sendmmsg(fd uintptr) bool {
+	for c.wsent < c.wn {
+		r, _, errno := syscall.Syscall6(sysSENDMMSG, fd,
+			uintptr(unsafe.Pointer(&c.whdrs[c.wsent])), uintptr(c.wn-c.wsent), 0, 0, 0)
+		switch errno {
+		case 0:
+			c.d.sendmmsgCalls.Add(1)
+			c.d.sendBatchFrames.Add(int64(r))
+			maxHW(&c.d.sendBatchHW, int64(r))
+			c.wsent += int(r)
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false // socket buffer full: park until writable
+		default:
+			c.werr = errno
+			return true
+		}
+	}
+	return true
 }
 
 // ReadBatch fills views with up to len(views) queued datagrams in one
@@ -162,33 +180,16 @@ func (c *mmsgConn) ReadBatch(views [][]byte, sizes []int) (int, error) {
 		hdrs[i].hdr.Iov = &iovs[i]
 		hdrs[i].hdr.Iovlen = 1
 	}
-	got := 0
-	var opErr error
-	err := c.rc.Read(func(fd uintptr) bool {
-		for {
-			r, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
-				uintptr(unsafe.Pointer(&hdrs[0])), uintptr(n), 0, 0, 0)
-			switch errno {
-			case 0:
-				got = int(r)
-				return true
-			case syscall.EINTR:
-				continue
-			case syscall.EAGAIN:
-				return false // nothing queued: park until readable
-			default:
-				opErr = errno
-				return true
-			}
-		}
-	})
+	c.rn, c.rgot, c.rerr = n, 0, nil
+	err := c.rc.Read(c.read)
 	runtime.KeepAlive(views)
-	if opErr != nil {
-		return 0, opErr
+	if c.rerr != nil {
+		return 0, c.rerr
 	}
 	if err != nil {
 		return 0, err
 	}
+	got := c.rgot
 	for i := 0; i < got; i++ {
 		sizes[i] = int(hdrs[i].n)
 	}
@@ -196,4 +197,26 @@ func (c *mmsgConn) ReadBatch(views [][]byte, sizes []int) (int, error) {
 	c.d.recvBatchFrames.Add(int64(got))
 	maxHW(&c.d.recvBatchHW, int64(got))
 	return got, nil
+}
+
+// recvmmsg is ReadBatch's RawConn callback: it receives into the first
+// c.rn headers, reporting false to park until the socket is readable.
+// Reader goroutine only.
+func (c *mmsgConn) recvmmsg(fd uintptr) bool {
+	for {
+		r, _, errno := syscall.Syscall6(sysRECVMMSG, fd,
+			uintptr(unsafe.Pointer(&c.rhdrs[0])), uintptr(c.rn), 0, 0, 0)
+		switch errno {
+		case 0:
+			c.rgot = int(r)
+			return true
+		case syscall.EINTR:
+			continue
+		case syscall.EAGAIN:
+			return false // nothing queued: park until readable
+		default:
+			c.rerr = errno
+			return true
+		}
+	}
 }

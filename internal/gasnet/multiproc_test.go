@@ -160,11 +160,10 @@ func TestMultiprocPutGetAmo(t *testing.T) {
 	seg1.CopyIn(128, word[:])
 	var old uint64
 	var amoDone bool
-	ep0.AmoRemote(1, 128, AmoAdd, 2, 0, func(o uint64, err error) {
+	ep0.AmoRemote(1, 128, AmoAdd, 2, 0, ValueBytes(&old), func(err error) {
 		if err != nil {
 			t.Errorf("amo: %v", err)
 		}
-		old = o
 		amoDone = true
 	})
 	spinWorld(t, doms, func() bool { return amoDone })

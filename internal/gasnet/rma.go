@@ -1,6 +1,10 @@
 package gasnet
 
-import "errors"
+import (
+	"encoding/binary"
+	"errors"
+	"sync/atomic"
+)
 
 // ErrBadAddress reports that a remote operation named memory outside the
 // target rank's segment (or an invalid atomic op code): the target refused
@@ -13,33 +17,41 @@ var ErrBadAddress = errors.New("gasnet: remote address outside target segment")
 
 // This file implements the AM-based remote RMA and atomic protocol: the
 // code path taken when the target segment is NOT directly addressable by
-// the initiator. Each operation is a request/reply pair; the reply carries
-// the initiator-side cookie that locates the completion callback in the
-// endpoint's outstanding-op table. Completion callbacks therefore always
-// run inside the initiator's Poll — i.e. remote operations never complete
-// synchronously, which is exactly why the paper's eager-notification
-// optimization is a no-op (one predicted-untaken branch) off-node.
+// the initiator. Each operation is a request/reply pair, and every one —
+// put, get, fetching or non-fetching atomic — has the same completion
+// shape: where the reply's data lands (a get's buffer, a fetching atomic's
+// 8-byte old word, nil for the rest) plus a done(error) callback, usually
+// the pipeline's cached one. Both go into one opTable record under a
+// cookie the reply echoes, so registering an op allocates nothing;
+// handleAck lands the data and runs done inside the initiator's Poll —
+// remote operations never complete synchronously, which is exactly why the
+// paper's eager-notification optimization is a no-op (one
+// predicted-untaken branch) off-node.
 //
-// Every completion callback carries an error: nil on the reply path, or
-// ErrPeerUnreachable when the target was declared down — either at
-// injection (the peer is already down, so the request is refused on the
-// spot) or later, when the liveness sweep retires the pending entry.
+// done receives nil on the reply path, ErrBadAddress when the target
+// refused the request, or ErrPeerUnreachable when the target was declared
+// down — either at injection (the request is refused on the spot) or
+// later, when the liveness sweep retires the pending entry. On every
+// failure the destination is left untouched.
 
-// nopDone is installed when the caller passes a nil completion callback.
-func nopDone(*Msg, error) {}
-
-// nopAck is the bare-acknowledgment equivalent.
+// nopAck is installed when the caller passes a nil completion callback.
 func nopAck(error) {}
 
-// refuseDown eagerly fails an operation targeting an already-declared-dead
-// peer, reporting whether it did. Failing at injection keeps the op table
-// free of entries the (already completed) sweep would never retire.
-func (ep *Endpoint) refuseDown(to int) bool {
-	if !ep.PeerDown(to) {
-		return false
+// startOp enters one operation — expecting a reply of kind rep whose
+// data lands in dst — in the op table and returns its cookie. A target
+// already declared down fails the operation on the spot instead (ok
+// false): that keeps the table free of entries the (already completed)
+// sweep would never retire.
+func (ep *Endpoint) startOp(rep uint8, to int, dst []byte, onDone func(error)) (cookie uint64, ok bool) {
+	if onDone == nil {
+		onDone = nopAck
 	}
-	ep.dom.downPeerFails.Add(1)
-	return true
+	if ep.PeerDown(to) {
+		ep.dom.downPeerFails.Add(1)
+		onDone(ErrPeerUnreachable)
+		return 0, false
+	}
+	return ep.ops.add(rep, to, ep.DownGen(to), dst, onDone), true
 }
 
 // PutRemote initiates a put of data into the target rank's segment at byte
@@ -51,16 +63,10 @@ func (ep *Endpoint) refuseDown(to int) bool {
 // injection time, so the caller may reuse the buffer immediately (source
 // completion is synchronous).
 func (ep *Endpoint) PutRemote(to int, off uint32, data []byte, remoteFn func(*Endpoint), onDone func(error)) {
-	// Registered in its bare form: a func(*Msg, error) wrapper here would
-	// cost one closure allocation per put.
-	if onDone == nil {
-		onDone = nopAck
-	}
-	if ep.refuseDown(to) {
-		onDone(ErrPeerUnreachable)
+	cookie, ok := ep.startOp(hPutAck, to, nil, onDone)
+	if !ok {
 		return
 	}
-	cookie := ep.ops.addDone(to, ep.DownGen(to), onDone)
 	// Stage the payload in a pooled buffer: Send consumes the reference
 	// (transferring it to the receiver in-memory, or dropping it once the
 	// bytes are on the wire), so steady-state puts allocate nothing.
@@ -85,14 +91,10 @@ func (ep *Endpoint) PutRemote(to int, off uint32, data []byte, remoteFn func(*En
 // argument length into A3; args ride behind the data in the payload.
 // onDone follows PutRemote's contract.
 func (ep *Endpoint) PutNotifyRemote(to int, off uint32, data []byte, id uint32, args []byte, onDone func(error)) {
-	if onDone == nil {
-		onDone = nopAck
-	}
-	if ep.refuseDown(to) {
-		onDone(ErrPeerUnreachable)
+	cookie, ok := ep.startOp(hPutAck, to, nil, onDone)
+	if !ok {
 		return
 	}
-	cookie := ep.ops.addDone(to, ep.DownGen(to), onDone)
 	wb := ep.dom.arena.get(len(data) + len(args))
 	copy(wb.b, data)
 	copy(wb.b[len(data):], args)
@@ -187,22 +189,13 @@ func (ep *Endpoint) applyPutHeld(m *Msg) (fn func(*Endpoint), ok bool) {
 // GetRemote initiates a get of n bytes from the target rank's segment at
 // byte offset off into dst (which must have length >= n). onDone runs on
 // the initiating rank's goroutine during a later Poll, after the data has
-// been stored into dst (nil error) or the target is declared unreachable
+// been stored into dst (nil error), or with the error that failed the get
 // (dst untouched).
 func (ep *Endpoint) GetRemote(to int, off uint32, n int, dst []byte, onDone func(error)) {
-	if ep.refuseDown(to) {
-		if onDone != nil {
-			onDone(ErrPeerUnreachable)
-		}
+	cookie, ok := ep.startOp(hGetRep, to, dst, onDone)
+	if !ok {
 		return
 	}
-	// Registered closure-free: the table copies the reply into dst before
-	// invoking onDone (opTable.addGet), so a steady-state get allocates
-	// nothing on the initiator.
-	if onDone == nil {
-		onDone = nopAck
-	}
-	cookie := ep.ops.addGet(to, ep.DownGen(to), dst, onDone)
 	ep.Send(to, Msg{
 		Handler: hGetReq,
 		A0:      cookie,
@@ -229,29 +222,17 @@ func handleGetReq(ep *Endpoint, m *Msg) {
 }
 
 // AmoRemote initiates an atomic op on the 8-byte word at off in the target
-// rank's segment. onOld, if non-nil, receives the word's previous value
-// (and a nil error) on the initiating rank's goroutine during a later
-// Poll, or a zero value with ErrPeerUnreachable if the target is declared
-// down. Non-fetching callers pass an onOld that ignores its value (or
-// nil).
-func (ep *Endpoint) AmoRemote(to int, off uint32, op AmoOp, operand1, operand2 uint64, onOld func(old uint64, err error)) {
-	if ep.refuseDown(to) {
-		if onOld != nil {
-			onOld(0, ErrPeerUnreachable)
-		}
+// rank's segment. It completes like GetRemote: on the reply the word's
+// previous value is stored into old (in native byte order, so a uint64,
+// int64 or float64 viewed through ValueBytes reads it as is) before
+// onDone(nil) runs on the initiating rank's goroutine during a later Poll.
+// old is 8 bytes, or nil for a non-fetching op; on failure it is untouched
+// and onDone receives the error.
+func (ep *Endpoint) AmoRemote(to int, off uint32, op AmoOp, operand1, operand2 uint64, old []byte, onDone func(error)) {
+	cookie, ok := ep.startOp(hAmoRep, to, old, onDone)
+	if !ok {
 		return
 	}
-	cb := nopDone
-	if onOld != nil {
-		cb = func(m *Msg, err error) {
-			if err != nil {
-				onOld(0, err)
-				return
-			}
-			onOld(m.A1, nil)
-		}
-	}
-	cookie := ep.ops.add(to, ep.DownGen(to), cb)
 	ep.Send(to, Msg{
 		Handler: hAmoReq,
 		A0:      cookie,
@@ -274,4 +255,143 @@ func handleAmoReq(ep *Endpoint, m *Msg) {
 	}
 	old := ApplyAmo(ep.Segment(), off, op, m.A2, m.A3)
 	ep.Send(int(m.From), Msg{Handler: hAmoRep, A0: m.A0, A1: old})
+}
+
+// opTable tracks outstanding remote operations by cookie. It is only
+// touched by the owning rank's goroutine (initiation, the ack handler,
+// and the liveness sweep all run there), so it needs no locking.
+type opTable struct {
+	slots []opSlot
+	free  []uint32
+	n     int
+
+	// Lifetime tallies, surfaced through Stats: started counts every
+	// registered remote operation, acked every acknowledgment consumed,
+	// failed every entry retired with an error (peer declared down). They
+	// are the substrate leg of the runtime's op-lifecycle phase
+	// instrumentation (started pairs with initiation, acked with the
+	// wire-acked phase, failed with the failed phase). Atomic because
+	// Stats() snapshots them from scrape goroutines while the owner
+	// goroutine mutates the table.
+	started atomic.Int64
+	acked   atomic.Int64
+	failed  atomic.Int64
+}
+
+// opSlot is one outstanding operation, whatever its kind: where its reply
+// lands, what runs when it completes, and which reply it expects. A free
+// slot has a nil done.
+type opSlot struct {
+	// done is the completion callback. It has the pipeline's cached
+	// callback's shape, so it is stored as is, never wrapped.
+	done func(error)
+	// dst receives the reply's data before done(nil) runs: a get's payload
+	// is copied into it, a fetching atomic's old word stored into it. nil
+	// for puts and non-fetching atomics. No failure writes it.
+	dst []byte
+	// peer is the target rank, so a peer-death sweep can find the slot.
+	peer int32
+	// gen is the peer's death generation at registration (Endpoint.
+	// DownGen): a peer-death sweep fails only entries whose gen predates
+	// the death, so operations registered against a readmitted peer
+	// survive the sweep burying its previous incarnation.
+	gen uint32
+	// rep is the reply handler the operation expects: hPutAck, hGetRep or
+	// hAmoRep.
+	rep uint8
+}
+
+// add registers one operation and returns its cookie.
+func (t *opTable) add(rep uint8, peer int, gen uint32, dst []byte, done func(error)) uint64 {
+	s := opSlot{done: done, dst: dst, peer: int32(peer), gen: gen, rep: rep}
+	t.n++
+	t.started.Add(1)
+	if len(t.free) > 0 {
+		id := t.free[len(t.free)-1]
+		t.free = t.free[:len(t.free)-1]
+		t.slots[id] = s
+		return uint64(id)
+	}
+	t.slots = append(t.slots, s)
+	return uint64(len(t.slots) - 1)
+}
+
+// take removes and returns the slot for cookie if it is live and expects
+// a reply of kind rep. Anything else — a cookie out of range or already
+// retired (a stale reply from a peer whose operations the liveness sweep
+// failed), or a reply of the wrong kind (forged or corrupt) — reports
+// false and leaves the table as it was, so the genuine reply still
+// completes the operation; the caller must count and drop.
+func (t *opTable) take(cookie uint64, rep uint8) (opSlot, bool) {
+	if cookie >= uint64(len(t.slots)) {
+		return opSlot{}, false
+	}
+	s := t.slots[cookie]
+	if s.done == nil || s.rep != rep {
+		return opSlot{}, false
+	}
+	t.release(uint32(cookie))
+	t.acked.Add(1)
+	return s, true
+}
+
+func (t *opTable) release(id uint32) {
+	t.slots[id] = opSlot{}
+	t.free = append(t.free, id)
+	t.n--
+}
+
+// failPeer retires every entry targeting peer whose registration
+// generation predates gen (the peer's current death generation), invoking
+// its callback with err, and returns the number failed. Entries
+// registered at or after gen belong to the peer's readmitted incarnation
+// and are left standing. Owner goroutine only.
+func (t *opTable) failPeer(peer int32, gen uint32, err error) int {
+	n := 0
+	for id, s := range t.slots {
+		if s.done == nil || s.peer != peer || s.gen >= gen {
+			continue
+		}
+		t.release(uint32(id))
+		t.failed.Add(1)
+		n++
+		s.done(err)
+	}
+	return n
+}
+
+// live reports the number of registered, uncompleted operations.
+func (t *opTable) live() int { return t.n }
+
+// ackBadAddr is the A3 status a reply carries when the request was refused
+// for an out-of-segment address or invalid op code (A3 zero means success,
+// so pre-existing peers' replies decode compatibly). The requester's
+// callback receives ErrBadAddress and nothing lands.
+const ackBadAddr = 1
+
+// handleAck resolves every reply — put ack, get reply, atomic reply — in
+// one place: A0 carries the cookie, the handler id the reply kind, A3 the
+// target's status. Unknown cookies and replies of the wrong kind are
+// counted and dropped (stale replies outliving a peer-death sweep, forged
+// or corrupt frames). Reply data comes off the wire untrusted; the kind
+// check means it only ever lands in a destination registered for it.
+func handleAck(ep *Endpoint, m *Msg) {
+	s, ok := ep.ops.take(m.A0, m.Handler)
+	if !ok {
+		ep.dom.badCookieDrops.Add(1)
+		return
+	}
+	if m.A3 != 0 {
+		s.done(ErrBadAddress)
+		return
+	}
+	switch m.Handler {
+	case hGetRep:
+		copy(s.dst, m.Payload)
+	case hAmoRep:
+		if s.dst != nil {
+			binary.NativeEndian.PutUint64(s.dst, m.A1)
+		}
+	}
+	s.done(nil)
 }

@@ -29,6 +29,15 @@ func cxsOrDefault(cxs []Cx) []Cx {
 	return cxs
 }
 
+// modeOf returns a value operation's optional mode argument, or the
+// version's default.
+func modeOf(mode []Mode) Mode {
+	if len(mode) > 0 {
+		return mode[0]
+	}
+	return core.ModeDefault
+}
+
 // shipRemote delivers a remote-completion action for an operation whose
 // target is co-located: the action still runs on the target rank's
 // progress goroutine, never the initiator's, so it is shipped as an AM.
@@ -114,10 +123,7 @@ func RputBulk[T any](r *Rank, src []T, dst GlobalPtr[T], cxs ...Cx) Result {
 // the pipeline returns the value inline in the FutureV struct instead of
 // a heap cell (the §III-B cost the paper could not remove).
 func Rget[T any](r *Rank, src GlobalPtr[T], mode ...Mode) FutureV[T] {
-	m := core.ModeDefault
-	if len(mode) > 0 {
-		m = mode[0]
-	}
+	m := modeOf(mode)
 	if r.localTo(src.rank) {
 		return core.InitiateV(r.eng, core.OpDescV[T]{
 			Kind:  core.OpRMA,
@@ -145,14 +151,10 @@ func Rget[T any](r *Rank, src GlobalPtr[T], mode ...Mode) FutureV[T] {
 // arriving value directly into the promise's value slot — no intermediate
 // per-call buffer.
 func RgetPromise[T any](r *Rank, src GlobalPtr[T], p *PromiseV[T], mode ...Mode) {
-	m := core.ModeDefault
-	if len(mode) > 0 {
-		m = mode[0]
-	}
 	core.InitiateV(r.eng, core.OpDescV[T]{
 		Kind:  core.OpRMA,
 		Local: r.localTo(src.rank),
-		Mode:  m,
+		Mode:  modeOf(mode),
 		Peer:  int(src.rank),
 		Admit: true,
 		MoveV: func() T {
