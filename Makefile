@@ -85,7 +85,7 @@ test-loss:
 # rule's ship points (last barrier token, teardown, backstop). Tests that
 # arm an explicit FaultConfig keep their deterministic faults; every
 # other UDP domain inherits the preset from the environment.
-FAULT_TESTS = 'TestPeerKilledMidRun|TestBarrierAbortsOnPeerDeath|TestWireRPCHandlerPanicContained|TestClosureRPCPanicContained|TestOpDeadlineOnSlowWire|TestRPCWireUnregisteredFails|TestRetransmitExhaustionMarksPeerDown|TestHeartbeat|TestBarrierShipsLastToken|TestCloseShipsStagedSends|TestStagedSendShipsWithoutProgress'
+FAULT_TESTS = 'TestPeerKilledMidRun|TestBarrierAbortsOnPeerDeath|TestWireRPCHandlerPanicContained|TestClosureRPCPanicContained|TestOpDeadlineOnSlowWire|TestRPCWireUnregisteredFails|TestRetransmitExhaustionMarksPeerDown|TestHeartbeat|TestBarrierShipsLastToken|TestCloseShipsStagedSends|TestStagedSendShipsWithoutProgress|TestRoundTripAckRidesNextRequest'
 test-fault:
 	GUPCXX_UDP_FAULT="drop=0.40,seed=11" \
 		$(GO) test -count 1 -run $(FAULT_TESTS) ./internal/gasnet/ .

@@ -564,6 +564,22 @@ func (d *Domain) RegisterHandler(id uint8, fn HandlerFunc) {
 	d.handlers[id] = fn
 }
 
+// RegisterReplyHandler is RegisterHandler for a handler whose messages are
+// replies: each completes an operation the receiving rank started, so its
+// sender expects nothing back but the transport's ack. On the UDP conduit
+// a frame that carried only replies is acknowledged lazily — on the
+// receiving rank's next frame to the sender, at its next Idle, or at the
+// ack-pacing deadline — rather than by a standalone ack at the end of the
+// Poll that dispatched it (DESIGN.md §8.2). The substrate's own put, get
+// and atomic replies are registered so already. On the other conduits it
+// is RegisterHandler.
+func (d *Domain) RegisterReplyHandler(id uint8, fn HandlerFunc) {
+	d.RegisterHandler(id, fn)
+	if d.udp != nil {
+		d.udp.replies.Or(1 << id)
+	}
+}
+
 // AMSends reports the total number of cross-endpoint active messages sent
 // so far in this Domain.
 func (d *Domain) AMSends() int64 { return d.amSends.Load() }
@@ -736,7 +752,9 @@ func (ep *Endpoint) Send(to int, m Msg) {
 // dispatched first, preserving their arrival order. On the UDP conduit
 // Poll is also where staged sends leave: at entry, everything sent since
 // the last progress call; after the dispatch round, the handlers'
-// replies — before the pending acks, so those ride on the replies.
+// replies, which carry the pending acks; then the urgent acks nothing
+// carried. A lazy ack — one owed only for replies — stays pending for this
+// rank's next frame, its next Idle, or the pacing deadline (reliable.go).
 func (ep *Endpoint) Poll() int {
 	if h := ep.host; h != nil {
 		h.flush()
@@ -763,12 +781,11 @@ func (ep *Endpoint) Poll() int {
 		msgs[i].release()
 	}
 	if h := ep.host; h != nil {
-		// Ship the replies, then the eager ack flush: anything this
-		// dispatch round did not answer with reverse traffic is
-		// acknowledged now, not at the ticker's pacing deadline (see
-		// reliability.flushAcks).
+		// Ship the replies, then the urgent acks this dispatch round did
+		// not answer with reverse traffic: now, not at the ticker's pacing
+		// deadline (see reliability.flushAcks).
 		h.flush()
-		ep.dom.rel.flushAcks(h)
+		ep.dom.rel.flushAcks(h, ackUrgent)
 	}
 	n += len(msgs)
 	if n > 0 {
@@ -955,13 +972,15 @@ const idleSpin = 128
 // in-memory endpoint's messages are pushed by other ranks' goroutines,
 // which a yield lets run: it spins idleSpin-1 yields, then parks. A Poll
 // that dispatches anything resets the streak. A socket-fed endpoint ships
-// its staged sends before it parks: whatever ran since the last Poll
+// its staged sends before it parks — whatever ran since the last Poll
 // (a continuation, a callback) may have sent the very message the wait
-// depends on.
+// depends on — and then every ack still pending, the lazy ones included:
+// a rank with nothing to do has no next frame for them to ride on.
 func (ep *Endpoint) Idle() {
 	ep.idleStreak++
 	if h := ep.host; h != nil {
 		h.flush()
+		ep.dom.rel.flushAcks(h, ackLazy)
 	} else if ep.idleStreak < idleSpin {
 		runtime.Gosched()
 		return

@@ -5,6 +5,7 @@ import (
 	"math/rand/v2"
 	"net/netip"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -200,6 +201,9 @@ type faultConn struct {
 	rng     *rand.Rand
 	held    []heldPkt
 	delayed []delayedPkt
+	// scratch is WriteBatch's reused survivor list, taken out under mu for
+	// the duration of a write that could not forward its frames as is.
+	scratch []batchFrame
 }
 
 func newFaultConn(inner packetConn, cfg FaultConfig, rank int, d *Domain) *faultConn {
@@ -292,23 +296,45 @@ func (f *faultConn) cfgFor(dst int) FaultConfig {
 	return f.cfg
 }
 
-// route decides the transmission path of one surviving datagram under
-// f.mu: latency armed, it is copied onto the delay queue (drained by the
-// domain ticker); otherwise it is appended to out for the caller to write
-// after unlocking. copied reports whether b is already a private copy.
-func (f *faultConn) route(out []heldPkt, b []byte, addr netip.AddrPort, copied bool) []heldPkt {
-	if (f.delay > 0 || f.jitter > 0) && len(f.delayed) < faultMaxDelayed {
-		due := clockNow() + f.delay
-		if f.jitter > 0 {
-			due += f.rng.Int64N(f.jitter)
-		}
-		if !copied {
-			b = append([]byte(nil), b...)
-		}
-		f.delayed = append(f.delayed, delayedPkt{b: b, addr: addr, due: due})
-		return out
+// verdict draws one datagram's fate under f.mu — exactly one PRNG draw
+// (plus one per delayed copy under jitter), none for a partitioned
+// destination — and reports how many copies of it the caller writes now:
+// 0 (partitioned, dropped, held for reordering, or on the latency queue),
+// 1, or 2 (duplicated); and whether it survived the draw, which a delayed
+// datagram has. Held and delayed datagrams are copied: the caller's
+// buffer is pooled and reused after the write.
+func (f *faultConn) verdict(b []byte, addr netip.AddrPort) (n int, survived bool) {
+	dst := f.destOf(addr)
+	if len(f.blocked) > 0 && f.blocked[dst] {
+		f.d.partitionDrops.Add(1)
+		return 0, false
 	}
-	return append(out, heldPkt{b: b, addr: addr})
+	cfg := f.cfgFor(dst)
+	r := f.rng.Float64()
+	n = 1
+	switch {
+	case r < cfg.Drop:
+		f.d.faultsInjected.Add(1)
+		return 0, false
+	case r < cfg.Drop+cfg.Dup:
+		f.d.faultsInjected.Add(1)
+		n = 2
+	case r < cfg.Drop+cfg.Dup+cfg.Reorder && len(f.held) < faultMaxHeld:
+		f.d.faultsInjected.Add(1)
+		f.held = append(f.held, heldPkt{b: append([]byte(nil), b...), addr: addr})
+		return 0, false
+	}
+	if f.delay > 0 || f.jitter > 0 {
+		// Latency armed: the copies wait on the delay queue while it has room.
+		for ; n > 0 && len(f.delayed) < faultMaxDelayed; n-- {
+			due := clockNow() + f.delay
+			if f.jitter > 0 {
+				due += f.rng.Int64N(f.jitter)
+			}
+			f.delayed = append(f.delayed, delayedPkt{b: append([]byte(nil), b...), addr: addr, due: due})
+		}
+	}
+	return n, true
 }
 
 // takeHeld removes and returns the holdback queue. Caller holds f.mu.
@@ -362,44 +388,27 @@ func (f *faultConn) drain(now int64) {
 	f.flush(due)
 }
 
+// WriteToUDPAddrPort applies the network model to one datagram. A
+// datagram that survives its draw releases the held ones behind it:
+// reordered. Delivered once with nothing held, it is forwarded as is, so
+// an armed shim allocates only for the datagrams it holds or delays.
 func (f *faultConn) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, error) {
 	if !f.armed.Load() {
 		return f.inner.WriteToUDPAddrPort(b, addr)
 	}
 	f.mu.Lock()
-	dst := f.destOf(addr)
-	if len(f.blocked) > 0 && f.blocked[dst] {
-		f.mu.Unlock()
-		f.d.partitionDrops.Add(1)
-		return len(b), nil // severed; the wire reports success
-	}
-	cfg := f.cfgFor(dst)
-	r := f.rng.Float64()
-	var out []heldPkt
-	switch {
-	case r < cfg.Drop:
-		f.mu.Unlock()
-		f.d.faultsInjected.Add(1)
-		return len(b), nil // swallowed; the wire reports success
-	case r < cfg.Drop+cfg.Dup:
-		f.d.faultsInjected.Add(1)
-		out = f.route(out, b, addr, false)
-		out = f.route(out, b, addr, false)
-		out = append(out, f.takeHeld()...)
-	case r < cfg.Drop+cfg.Dup+cfg.Reorder && len(f.held) < faultMaxHeld:
-		f.held = append(f.held, heldPkt{b: append([]byte(nil), b...), addr: addr})
-		f.updateArmed() // held queue pins the armed state
-		f.mu.Unlock()
-		f.d.faultsInjected.Add(1)
-		return len(b), nil
-	default:
-		out = f.route(out, b, addr, false)
-		out = append(out, f.takeHeld()...) // held arrive after this one: reordered
+	n, survived := f.verdict(b, addr)
+	var held []heldPkt
+	if survived {
+		held = f.takeHeld()
 	}
 	f.updateArmed()
 	f.mu.Unlock()
-	f.flush(out)
-	return len(b), nil
+	for ; n > 0; n-- {
+		f.inner.WriteToUDPAddrPort(b, addr)
+	}
+	f.flush(held)
+	return len(b), nil // the wire reports success, whatever the model did
 }
 
 // WriteBatch applies the network model frame-by-frame — each staged frame
@@ -408,63 +417,57 @@ func (f *faultConn) WriteToUDPAddrPort(b []byte, addr netip.AddrPort) (int, erro
 // underneath. Partitioned frames and dropped frames vanish from the
 // batch; duplicated frames appear twice; reorder-held frames are copied
 // aside and released behind a later batch's survivors; delayed frames are
-// copied onto the latency queue for the domain ticker. The receive path
-// needs no counterpart: faults are send-side injection, the wire delivers
-// what survives.
+// copied onto the latency queue for the domain ticker. A batch whose
+// frames all drew "deliver once", with nothing held to release, is
+// forwarded as is; otherwise the survivors are gathered, from the first
+// frame that is not delivered once, into a scratch list the shim reuses,
+// so the write path allocates only for the frames it holds or delays. The
+// receive path needs no counterpart: faults are send-side injection, the
+// wire delivers what survives.
 func (f *faultConn) WriteBatch(frames []batchFrame) error {
 	if !f.armed.Load() {
 		return f.inner.WriteBatch(frames)
 	}
-	// The fault path is for test suites, not the cost model, so the
-	// per-call scratch allocation here is acceptable; a call whose frames
-	// are all dropped makes none.
-	var out []batchFrame
 	f.mu.Lock()
-	latency := f.delay > 0 || f.jitter > 0
-	for _, fr := range frames {
-		dst := f.destOf(fr.addr)
-		if len(f.blocked) > 0 && f.blocked[dst] {
-			f.d.partitionDrops.Add(1)
-			continue
+	out, diverged, direct := f.scratch[:0], false, false
+	for i, fr := range frames {
+		n, _ := f.verdict(fr.b, fr.addr)
+		direct = direct || n > 0
+		if n != 1 && !diverged {
+			diverged = true
+			out = append(slices.Grow(out, len(frames)), frames[:i]...)
 		}
-		cfg := f.cfgFor(dst)
-		r := f.rng.Float64()
-		switch {
-		case r < cfg.Drop:
-			f.d.faultsInjected.Add(1)
-		case r < cfg.Drop+cfg.Dup:
-			f.d.faultsInjected.Add(1)
-			if latency {
-				f.route(nil, fr.b, fr.addr, false)
-				f.route(nil, fr.b, fr.addr, false)
-			} else {
-				out = append(out, fr, fr)
-			}
-		case r < cfg.Drop+cfg.Dup+cfg.Reorder && len(f.held) < faultMaxHeld:
-			f.d.faultsInjected.Add(1)
-			f.held = append(f.held, heldPkt{b: append([]byte(nil), fr.b...), addr: fr.addr})
-		default:
-			if latency {
-				f.route(nil, fr.b, fr.addr, false)
-			} else {
-				out = append(out, fr)
-			}
+		for ; diverged && n > 0; n-- {
+			out = append(out, fr)
 		}
 	}
 	var released []heldPkt
-	if len(out) > 0 {
+	if direct {
 		released = f.takeHeld()
 	}
 	f.updateArmed()
+	if !diverged && released == nil {
+		f.mu.Unlock()
+		return f.inner.WriteBatch(frames)
+	}
+	if !diverged {
+		out = append(out, frames...)
+	}
+	f.scratch = nil // out is this call's until the write returns
 	f.mu.Unlock()
 	for _, p := range released {
 		// Held datagrams ride behind this batch's survivors: reordered.
 		out = append(out, batchFrame{b: p.b, addr: p.addr})
 	}
-	if len(out) == 0 {
-		return nil
+	var err error
+	if len(out) > 0 {
+		err = f.inner.WriteBatch(out)
 	}
-	return f.inner.WriteBatch(out)
+	clear(out)
+	f.mu.Lock()
+	f.scratch = out[:0]
+	f.mu.Unlock()
+	return err
 }
 
 // rankOfAddr resolves a socket address to its rank, or -1. Linear scan of

@@ -1,8 +1,11 @@
 package gasnet
 
 import (
+	"encoding/binary"
+	"math/rand/v2"
 	"net"
 	"net/netip"
+	"slices"
 	"testing"
 	"time"
 )
@@ -229,6 +232,75 @@ func TestFaultConnWriteBatch(t *testing.T) {
 		for i, fr := range got {
 			if fr[0] != want[i] {
 				t.Errorf("frame %d = %d, want %d", i, fr[0], want[i])
+			}
+		}
+	})
+}
+
+// nopConn is a socket adapter that discards every write without
+// allocating.
+type nopConn struct{}
+
+func (nopConn) WriteToUDPAddrPort(b []byte, _ netip.AddrPort) (int, error) { return len(b), nil }
+func (nopConn) WriteBatch([]batchFrame) error                              { return nil }
+
+// TestFaultConnSurvivorsForwardAsIs: an armed shim whose frames draw
+// "deliver once" forwards them as they are, in both write forms, and
+// allocates nothing for a drop-only profile (make test-loss and the lossy
+// benchmark run every datagram through it). The drop schedule stays one
+// PCG draw per frame in write order: the frames reaching the socket over
+// 1,000 writes are exactly a re-simulation's from the shim's seed.
+func TestFaultConnSurvivorsForwardAsIs(t *testing.T) {
+	fd := &Domain{} // counters only; no transport behind it
+	cfg := FaultConfig{Drop: 0.3, Seed: 5}
+	const rank = 1
+
+	t.Run("allocs", func(t *testing.T) {
+		if raceEnabled {
+			t.Skip("allocation counts differ under the race detector")
+		}
+		fc := newFaultConn(nopConn{}, cfg, rank, fd)
+		b := []byte{1}
+		if n := testing.AllocsPerRun(1000, func() { fc.WriteToUDPAddrPort(b, netip.AddrPort{}) }); n != 0 {
+			t.Errorf("WriteToUDPAddrPort: %v allocs per write, want 0", n)
+		}
+		frames := testFrames(1, 2, 3, 4)
+		for i := 0; i < 100; i++ {
+			fc.WriteBatch(frames) // the first batch with a drop sizes the scratch list
+		}
+		if n := testing.AllocsPerRun(1000, func() { fc.WriteBatch(frames) }); n != 0 {
+			t.Errorf("WriteBatch: %v allocs per batch, want 0", n)
+		}
+	})
+
+	t.Run("schedule", func(t *testing.T) {
+		for _, batched := range []bool{false, true} {
+			rec := &recordingConn{}
+			fc := newFaultConn(rec, cfg, rank, fd)
+			sim := rand.New(rand.NewPCG(uint64(cfg.Seed), uint64(rank)+0x9e3779b97f4a7c15))
+			var want []uint16
+			var batch []batchFrame
+			for i := uint16(0); i < 1000; i++ {
+				if sim.Float64() >= cfg.Drop {
+					want = append(want, i)
+				}
+				b := binary.LittleEndian.AppendUint16(nil, i)
+				if !batched {
+					fc.WriteToUDPAddrPort(b, netip.AddrPort{})
+					continue
+				}
+				if batch = append(batch, batchFrame{b: b}); len(batch) == 4 {
+					fc.WriteBatch(batch)
+					batch = batch[:0]
+				}
+			}
+			got := make([]uint16, 0, len(want))
+			for _, b := range slices.Concat(append(rec.batches, rec.singles)...) {
+				got = append(got, binary.LittleEndian.Uint16(b))
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("batched=%v: %d frames reached the socket, the re-simulation delivers %d (or a different set)",
+					batched, len(got), len(want))
 			}
 		}
 	})

@@ -120,6 +120,28 @@ const (
 	relTickInterval = time.Millisecond
 )
 
+// Ack urgency levels, the values of peer.ackHint and the threshold
+// flushAcks ships at. Where a pending ack leaves follows from what the
+// frames it acknowledges carried (DESIGN.md §8.2, "Where an ack leaves"):
+//
+//   - A frame of replies only (hPutAck, hGetRep, hAmoRep, and the ids the
+//     runtime registers with Domain.RegisterReplyHandler) completes ops
+//     this rank started, and its sender expects nothing back but the ack.
+//     The ack is lazy: it rides this rank's next frame to the sender — in
+//     a blocking loop, the next request — or leaves at the rank's next
+//     Idle, or at the ticker's pacing deadline (ackDelay).
+//   - Any other frame — a request, a collective token, a user message, a
+//     mix — makes it urgent: it leaves at the end of the Poll that
+//     dispatched the frame, if no reply carried it first.
+//
+// A gap, a duplicate and relAckEvery deliveries still ack at once, from
+// the reader (streams.data).
+const (
+	ackNone uint32 = iota
+	ackLazy
+	ackUrgent
+)
+
 // peer is everything hosted rank `local` keeps about rank `peer`, in one
 // record behind one mutex: what it believes about the peer's liveness and
 // identity (lc, stepped only by host.transition — liveness.go), and both
@@ -145,11 +167,14 @@ type peer struct {
 
 	streams
 
-	// ackHint mirrors ackPending for the poll loop's lock-free glance
-	// (flushAcks): raised by the applier when a step arms an ack, cleared
-	// under the lock by flushAcks. Stale-true costs one mutex acquisition;
-	// it is never stale-false.
-	ackHint atomic.Bool
+	// ackHint mirrors ackPending, with how soon the pending ack must leave,
+	// for the progress calls' lock-free glance (flushAcks): ackLazy while
+	// every frame it covers carried only replies, ackUrgent once any other
+	// frame joined it. Raised by the applier after each delivery while an
+	// ack is pending; cleared under the lock by flushAcks and by a seal the
+	// ack rode on. Stale-high costs one mutex acquisition; it is never
+	// stale-low.
+	ackHint atomic.Uint32
 
 	// High-water marks of the window-bounded queues, surfaced through
 	// Stats so capacity pressure is observable rather than inferred.
@@ -284,6 +309,7 @@ func (r *reliability) trySeal(h *host, to int, wb *wireBuf) (ok, full bool) {
 	}
 	if fx.do&sfxPiggyback != 0 {
 		r.d.acksPiggybacked.Add(1)
+		p.ackHint.Store(ackNone)
 	}
 	p.inflightHW = max(p.inflightHW, len(p.inflight))
 	// The bytes are final before the entry can be retransmitted by anyone:
@@ -354,22 +380,27 @@ func (h *host) stepStreams(p *peer, to int, ev streamEvent, now int64) streamFx 
 	ep := h.ep
 	d := ep.dom
 	fx := p.step(ev, now)
+	level := ackNone // the most urgent ack the frames delivered here ask for
 	if fx.do&sfxDeliver != 0 {
-		d.deliverParsed(ep, ev.wb, ev.wb.b[relHeaderLen:])
+		level = d.deliverParsed(ep, ev.wb, ev.wb.b[relHeaderLen:])
 	}
 	for i, wb := range p.ready {
-		d.deliverParsed(ep, wb, wb.b[relHeaderLen:])
+		level = max(level, d.deliverParsed(ep, wb, wb.b[relHeaderLen:]))
 		p.ready[i] = nil
 	}
 	p.ready = p.ready[:0]
+	// Every delivery a pending ack covers raises its hint, not only the one
+	// that armed it: a request behind a reply-only frame makes the ack
+	// urgent. The hint rises after the push, so a Poll that has not seen
+	// the messages yet does not ship the ack their replies would carry.
+	if p.ackPending && level > p.ackHint.Load() {
+		p.ackHint.Store(level)
+	}
 	for i, wb := range p.spent {
 		wb.release()
 		p.spent[i] = nil
 	}
 	p.spent = p.spent[:0]
-	if fx.do&sfxArmed != 0 {
-		p.ackHint.Store(true)
-	}
 	if fx.grown > 0 {
 		d.windowGrows.Add(1)
 		if int(fx.grown) == d.cfg.RelWindow {
@@ -383,11 +414,13 @@ func (h *host) stepStreams(p *peer, to int, ev streamEvent, now int64) streamFx 
 	}
 	p.reorderHW = max(p.reorderHW, p.nparked)
 	if fx.do&sfxReleased != 0 {
-		// An ack is a completion signal, not just window bookkeeping: for
-		// value-less remote ops (puts) the transport ack IS the op's
-		// completion, and a rank parked in Wait would otherwise only notice
-		// at the park timeout. Wake it now. (notify is a coalescing
-		// non-blocking send; safe under p.mu.)
+		// Frames left the in-flight window. No op completes on a transport
+		// ack — every op completes on its reply message — but a rank may be
+		// parked waiting for exactly this: World.drainWire waits until
+		// nothing it sent is in flight before it closes, and a window-blocked
+		// sender waits for credit. Wake it now rather than at the park
+		// timeout. (notify is a coalescing non-blocking send; safe under
+		// p.mu.)
 		ep.notify()
 	}
 	return fx
@@ -441,27 +474,28 @@ func (r *reliability) ship(h *host, to int, fx *streamFx) {
 	}
 }
 
-// flushAcks ships every pending ack on h's receive streams right away.
-// It is the eager half of ack pacing, called from the owner's poll loop
-// after a dispatch round: if delivering the inbound frames produced no
-// reverse traffic to piggyback on (pure one-sided streams — puts, and
-// the target side of gets), the ack leaves now, from the goroutine that
-// is actually running, instead of waiting out the ticker's pacing delay.
-// The ticker remains the backstop for ranks that stop polling. On
-// oversubscribed hosts (more ranks than cores — every process-per-rank
-// world on a small machine) the ticker goroutine can be starved past the
-// sender's RTO by the very poll loop that just consumed the data;
-// flushing here turns that retransmission storm back into one timely ack.
-func (r *reliability) flushAcks(h *host) {
+// flushAcks ships every pending ack on h's receive streams whose hint is
+// at least level, right away: ackUrgent from Poll after its dispatch round
+// and its replies (an ack a reply carried is no longer pending), ackLazy
+// from Idle before the rank parks. It is the eager half of ack pacing: an
+// ack a request frame asked for leaves from the goroutine that is actually
+// running, not at the ticker's pacing deadline, and a lazy ack that found
+// no frame to ride on leaves before its rank sleeps. The ticker remains
+// the backstop for ranks that stop calling progress. On oversubscribed
+// hosts (more ranks than cores — every process-per-rank world on a small
+// machine) the ticker goroutine can be starved past the sender's RTO by
+// the very poll loop that just consumed the data; flushing here turns that
+// retransmission storm back into one timely ack.
+func (r *reliability) flushAcks(h *host, level uint32) {
 	for to := range h.peers {
 		p := &h.peers[to]
-		if !p.ackHint.Load() {
+		if p.ackHint.Load() < level {
 			continue
 		}
 		// A flush only ever ships an ack: none of stepStreams' draining.
 		p.mu.Lock()
 		fx := p.step(streamEvent{kind: sevFlush}, 0)
-		p.ackHint.Store(false)
+		p.ackHint.Store(ackNone)
 		p.mu.Unlock()
 		if fx.do&sfxAck != 0 {
 			r.sendAck(h, to, fx.ack, fx.sack)

@@ -147,7 +147,7 @@ const (
 	sfxForged                      // Ack: names a seq never sent; nothing done (a decode error)
 	sfxReleased                    // Ack: frames released into spent; wake the owner
 	sfxDeliver                     // Data: deliver the frame, then the ready successors
-	sfxArmed                       // Data: an ack became pending (raise ackHint)
+	sfxArmed                       // Data: an ack became pending (the applier reads ackPending itself)
 	sfxAck                         // ship a standalone ack (fx.ack, fx.sack)
 	sfxDup                         // Data: a duplicate, dropped
 	sfxOutOfWindow                 // Data: beyond the receive window, dropped

@@ -176,6 +176,13 @@ type udpTransport struct {
 	// that makes such environments diagnosable.
 	rbufErr error
 
+	// replies has bit id set for every handler id whose messages are
+	// replies (hPutAck, hGetRep, hAmoRep, and Domain.RegisterReplyHandler's):
+	// a frame of nothing else is acked lazily (reliable.go, ackLazy). The
+	// readers load it per frame; registration may race with early traffic.
+	// MaxHandlers ids fit the word.
+	replies atomic.Uint64
+
 	mu     sync.Mutex
 	closed bool
 }
@@ -199,6 +206,7 @@ func (tr *udpTransport) setAddr(to int, a netip.AddrPort) { tr.addrs[to].Store(&
 func (d *Domain) initUDP(newConn func(*net.UDPConn, *Domain) batchConn) error {
 	n := d.cfg.Ranks
 	tr := &udpTransport{addrs: make([]atomic.Pointer[netip.AddrPort], n)}
+	tr.replies.Store(1<<hPutAck | 1<<hGetRep | 1<<hAmoRep)
 	d.udp = tr
 	for r, a := range d.cfg.Peers {
 		tr.setAddr(r, a)
@@ -475,23 +483,30 @@ func (it *datagramIter) next() (Msg, bool) {
 }
 
 // deliverParsed is the step after reliability unwrapping (it is called
-// only from reliability.receive): it decodes one frameSingle/frameBatch
+// only from host.stepStreams): it decodes one frameSingle/frameBatch
 // frame (whose bytes live in wb) and pushes its message(s) into ep's
 // inbox, taking ownership of wb. Corrupt frames are counted and dropped —
 // a valid prefix of a batch is still delivered: the sequence number is
-// already consumed, and a well-behaved sender never produces one.
+// already consumed, and a well-behaved sender never produces one. It
+// returns the ack level the frame asks for: ackLazy when every message was
+// a reply, ackUrgent otherwise (a corrupt frame included).
 //
 // Each pushed message takes its own reference before it is published,
 // and the caller's reference is dropped only after the last message is
 // parsed: the owner may dispatch and release a pushed message while the
 // rest of the batch is still being read out of wb.
-func (d *Domain) deliverParsed(ep *Endpoint, wb *wireBuf, frame []byte) {
+func (d *Domain) deliverParsed(ep *Endpoint, wb *wireBuf, frame []byte) uint32 {
 	it := parseDatagram(frame)
+	replies := d.udp.replies.Load()
+	level := ackLazy
 	pushed := 0
 	for {
 		m, ok := it.next()
 		if !ok {
 			break
+		}
+		if replies&(1<<m.Handler) == 0 {
+			level = ackUrgent
 		}
 		wb.retain(1)
 		m.buf = wb
@@ -500,11 +515,13 @@ func (d *Domain) deliverParsed(ep *Endpoint, wb *wireBuf, frame []byte) {
 	}
 	if it.err != nil {
 		d.decodeErrors.Add(1)
+		level = ackUrgent
 	}
 	wb.release()
 	if pushed > 0 {
 		ep.notify()
 	}
+	return level
 }
 
 // writeFrame puts one frame on the wire — a retransmission, a standalone

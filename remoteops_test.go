@@ -37,9 +37,8 @@ func TestRemoteOpAllocations(t *testing.T) {
 		}
 	})
 	t.Run("process-pair", func(t *testing.T) {
-		// The bound is a clean wire's: an armed fault profile (make
-		// test-loss) routes every datagram through the shim's packet
-		// lists, which allocate.
+		// The bound is a clean wire's: the fault profile of make
+		// test-loss copies each datagram it holds back for reordering.
 		t.Setenv("GUPCXX_UDP_FAULT", "")
 		ws := newProcessPair(t)
 		defer ws[0].Close()

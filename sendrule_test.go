@@ -1,13 +1,18 @@
 package gupcxx_test
 
 import (
+	"bytes"
+	"encoding/binary"
+	"fmt"
 	"net"
 	"net/netip"
+	"os"
 	"sync/atomic"
 	"testing"
 	"time"
 
 	"gupcxx"
+	"gupcxx/internal/gasnet"
 )
 
 // The send rule (DESIGN.md §7.3) stages a UDP send until its rank's next
@@ -134,5 +139,122 @@ func TestCloseShipsStagedSends(t *testing.T) {
 	}
 	if n := got.Load(); n != 1 {
 		t.Errorf("the request reached its handler %d times, want 1", n)
+	}
+}
+
+// TestRoundTripAckRidesNextRequest: a blocking remote op's reply is
+// acknowledged by the initiator's next request, not by an ack datagram of
+// its own (DESIGN.md §8.2). Rank 0 runs 300 blocking ops of each remote
+// family against rank 1, which serves from its barrier wait; every op
+// resolves with its value, and every update lands exactly once. On a
+// clean wire, outside the race detector, the initiator also sends at most
+// one standalone ack per twenty ops, piggybacks at least nineteen in
+// twenty, and neither rank retransmits. Under a fault preset (make
+// test-fault) only the loss-tolerant half runs: every op resolves, and no
+// peer is declared down.
+func TestRoundTripAckRidesNextRequest(t *testing.T) {
+	ws := newProcessPair(t)
+	defer ws[0].Close()
+	defer ws[1].Close()
+	counts := !raceEnabled && os.Getenv("GUPCXX_UDP_FAULT") == ""
+	var echo gupcxx.RPCHandlerID
+	for _, w := range ws {
+		echo = w.RegisterRPC(func(_ *gupcxx.Rank, args []byte) []byte { return args })
+	}
+	join := func(r *gupcxx.Rank) []gupcxx.GlobalPtr[uint64] {
+		words := gupcxx.ExchangePtr(r, gupcxx.New[uint64](r))
+		r.Barrier()
+		return words
+	}
+	served := make(chan error, 1)
+	go func() {
+		served <- ws[1].Run(func(r *gupcxx.Rank) {
+			join(r)
+			r.Barrier() // rank 1 answers rank 0's ops from this wait
+		})
+	}()
+
+	const perFamily = 300
+	var before, after gasnet.Stats
+	ops := 0
+	err := ws[0].Run(func(r *gupcxx.Rank) {
+		dst := join(r)[1]
+		defer r.Barrier()
+		ad := gupcxx.NewAtomicDomain[uint64](r)
+		var args [8]byte
+		families := []struct {
+			name string
+			op   func(i int) error
+		}{
+			{"Rput", func(i int) error { return gupcxx.Rput(r, uint64(i), dst).Op.WaitErr() }},
+			{"RputBulk", func(i int) error {
+				src := [1]uint64{uint64(i)}
+				return gupcxx.RputBulk(r, src[:], dst).Op.WaitErr()
+			}},
+			{"Rget", func(int) error {
+				if v, err := gupcxx.Rget(r, dst).WaitErr(); err != nil || v != perFamily-1 {
+					return fmt.Errorf("read %d (%v), want %d", v, err, perFamily-1)
+				}
+				return nil
+			}},
+			{"FetchAdd", func(i int) error {
+				if v, err := ad.FetchAdd(dst, 1).WaitErr(); err != nil || v != uint64(perFamily-1+i) {
+					return fmt.Errorf("old value %d (%v), want %d", v, err, perFamily-1+i)
+				}
+				return nil
+			}},
+			{"Add", func(int) error { return ad.Add(dst, 1).Op.WaitErr() }},
+			{"RPCWire", func(i int) error {
+				binary.LittleEndian.PutUint64(args[:], uint64(i))
+				rep, err := gupcxx.RPCWire(r, 1, echo, args[:]).WaitErr()
+				if err != nil || !bytes.Equal(rep, args[:]) {
+					return fmt.Errorf("reply %x (%v), want %x", rep, err, args)
+				}
+				return nil
+			}},
+		}
+		d := ws[0].Domain()
+		before = d.Stats()
+		for _, f := range families {
+			for i := 0; i < perFamily; i++ {
+				if err := f.op(i); err != nil {
+					t.Errorf("%s %d: %v", f.name, i, err)
+					return
+				}
+				ops++
+			}
+		}
+		after = d.Stats()
+		if v, err := gupcxx.Rget(r, dst).WaitErr(); err != nil || v != 3*perFamily-1 {
+			t.Errorf("final word %d (%v), want %d: an update was lost or applied twice", v, err, 3*perFamily-1)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range ws {
+		if n := w.Domain().Stats().PeersDown; n != 0 {
+			t.Errorf("rank %d declared %d peers down", i, n)
+		}
+	}
+	if !counts || t.Failed() {
+		return
+	}
+	standalone := after.AcksStandalone - before.AcksStandalone
+	piggybacked := after.AcksPiggybacked - before.AcksPiggybacked
+	t.Logf("%d ops: initiator sent %d standalone acks, piggybacked %d", ops, standalone, piggybacked)
+	if standalone*20 > int64(ops) {
+		t.Errorf("initiator sent %d standalone acks for %d ops, want at most 1 in 20", standalone, ops)
+	}
+	if piggybacked*20 < int64(19*ops) {
+		t.Errorf("initiator piggybacked %d acks for %d ops, want at least 19 in 20", piggybacked, ops)
+	}
+	for i, w := range ws {
+		if n := w.Domain().Stats().Retransmits; n != 0 {
+			t.Errorf("rank %d retransmitted %d frames on a clean wire", i, n)
+		}
 	}
 }

@@ -391,7 +391,9 @@ func NewWorld(cfg Config) (*World, error) {
 	dom.RegisterHandler(hRPCExec, handleRPCExec)
 	dom.RegisterHandler(hColl, handleColl)
 	dom.RegisterHandler(hRPCWireReq, handleRPCWireReq)
-	dom.RegisterHandler(hRPCWireRep, handleRPCWireRep)
+	// A wire-RPC reply completes the call this rank started: its frame's
+	// transport ack may ride this rank's next request (DESIGN.md §8.2).
+	dom.RegisterReplyHandler(hRPCWireRep, handleRPCWireRep)
 	// The put-with-notify dispatcher: a notify-put's data has been applied
 	// and acked by the substrate; the carried handler id and argument
 	// bytes resolve against the world's wire-RPC registry on the receiving
