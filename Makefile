@@ -82,10 +82,12 @@ test-loss:
 # heavy loss, then a duplication/reordering storm. Exercises the liveness
 # detector (no false peer-down under loss), retransmit exhaustion,
 # deadline expiry, panic containment, collective abort, and the send
-# rule's ship points (last barrier token, teardown, backstop). Tests that
+# rule's ship points (last barrier token, teardown, backstop), and the
+# receive path's frame delivery (one inbox entry per datagram, each
+# message dispatched once in order, payloads isolated). Tests that
 # arm an explicit FaultConfig keep their deterministic faults; every
 # other UDP domain inherits the preset from the environment.
-FAULT_TESTS = 'TestPeerKilledMidRun|TestBarrierAbortsOnPeerDeath|TestWireRPCHandlerPanicContained|TestClosureRPCPanicContained|TestOpDeadlineOnSlowWire|TestRPCWireUnregisteredFails|TestRetransmitExhaustionMarksPeerDown|TestHeartbeat|TestBarrierShipsLastToken|TestCloseShipsStagedSends|TestStagedSendShipsWithoutProgress|TestRoundTripAckRidesNextRequest'
+FAULT_TESTS = 'TestPeerKilledMidRun|TestBarrierAbortsOnPeerDeath|TestWireRPCHandlerPanicContained|TestClosureRPCPanicContained|TestOpDeadlineOnSlowWire|TestRPCWireUnregisteredFails|TestRetransmitExhaustionMarksPeerDown|TestHeartbeat|TestBarrierShipsLastToken|TestCloseShipsStagedSends|TestStagedSendShipsWithoutProgress|TestRoundTripAckRidesNextRequest|TestFrameDelivery|TestRPCWireArgsAppendIsolated'
 test-fault:
 	GUPCXX_UDP_FAULT="drop=0.40,seed=11" \
 		$(GO) test -count 1 -run $(FAULT_TESTS) ./internal/gasnet/ .

@@ -18,6 +18,7 @@ const (
 	hAmoReq              // atomic request: apply op, reply with old value
 	hAmoRep              // atomic reply: deliver old value, complete op
 	hHeldFn              // held remote-completion closure (PollInternal)
+	hFrame               // one received UDP frame: an inbox entry, never a wire message (udp.go)
 
 	// HandlerUserBase is the first handler ID available to higher layers.
 	HandlerUserBase = 16
@@ -96,17 +97,29 @@ func appendMsg(dst []byte, m *Msg) []byte {
 // decodeMsg parses a wire message produced by encodeMsg. The returned
 // message's Payload aliases b.
 func decodeMsg(b []byte) (Msg, error) {
-	d := serial.NewDecoder(b)
 	var m Msg
-	m.Handler = d.U8()
-	m.From = int32(d.U32())
-	m.A0 = d.U64()
-	m.A1 = d.U64()
-	m.A2 = d.U64()
-	m.A3 = d.U64()
-	m.Payload = d.Raw()
-	if err := d.Err(); err != nil {
-		return Msg{}, fmt.Errorf("gasnet: bad wire message: %w", err)
+	if !decodeWire(&m, b) {
+		return Msg{}, fmt.Errorf("gasnet: bad wire message: %d bytes, header needs %d", len(b), wireHeaderLen)
 	}
 	return m, nil
+}
+
+// decodeWire reads the wire message body into m's wire fields (Handler,
+// From, A0..A3, Payload), reporting false when body is too short for the
+// fixed header. Payload aliases body and ends where body ends, capacity
+// included: a handler that appends to it reallocates rather than writing
+// over whatever follows body in its buffer — in a received frame, the next
+// message.
+func decodeWire(m *Msg, body []byte) bool {
+	if len(body) < wireHeaderLen {
+		return false
+	}
+	m.Handler = body[0]
+	m.From = int32(binary.LittleEndian.Uint32(body[1:]))
+	m.A0 = binary.LittleEndian.Uint64(body[5:])
+	m.A1 = binary.LittleEndian.Uint64(body[13:])
+	m.A2 = binary.LittleEndian.Uint64(body[21:])
+	m.A3 = binary.LittleEndian.Uint64(body[29:])
+	m.Payload = body[wireHeaderLen:len(body):len(body)]
+	return true
 }

@@ -190,10 +190,12 @@ func (d *Domain) IncarnationOf(local, peer int) uint32 {
 // analogue of core.Stats: tests assert the cost model (lock-free pushes,
 // zero-allocation buffer recycling, datagram coalescing) against it.
 type Stats struct {
-	// RingPushes counts inbox messages that took the lock-free MPSC ring
+	// RingPushes counts inbox entries that took the lock-free MPSC ring
 	// (tallied at delivery, so the producer path stays contention-free).
+	// An entry is one message in memory, and one received frame — all
+	// the messages of one datagram — on the UDP conduit.
 	RingPushes int64
-	// BacklogSpills counts inbox messages that overflowed into the
+	// BacklogSpills counts inbox entries that overflowed into the
 	// mutex-guarded backlog.
 	BacklogSpills int64
 	// PoolHits / PoolMisses count wire-buffer arena requests served from
@@ -254,8 +256,9 @@ type Stats struct {
 	// FaultsInjected counts datagrams dropped, duplicated, or reordered by
 	// the fault-injection shim (Config.Fault).
 	FaultsInjected int64
-	// DecodeErrors counts received datagrams (or packed batch entries)
-	// dropped as truncated or corrupt.
+	// DecodeErrors counts received datagrams dropped as truncated or
+	// corrupt, whole or past a valid prefix of their messages — one per
+	// datagram.
 	DecodeErrors int64
 	// RemoteOpsStarted / RemoteOpsAcked count remote operations
 	// registered in the endpoints' completion tables and the
@@ -777,8 +780,14 @@ func (ep *Endpoint) Poll() int {
 	}
 	msgs := ep.inbox.drainNow()
 	for i := range msgs {
-		ep.dispatch(&msgs[i])
-		msgs[i].release()
+		m := &msgs[i]
+		if ep.isFrame(m) {
+			n += ep.host.expandFrame(m, false)
+			continue
+		}
+		ep.dispatch(m)
+		m.release()
+		n++
 	}
 	if h := ep.host; h != nil {
 		// Ship the replies, then the urgent acks this dispatch round did
@@ -787,7 +796,6 @@ func (ep *Endpoint) Poll() int {
 		h.flush()
 		ep.dom.rel.flushAcks(h, ackUrgent)
 	}
-	n += len(msgs)
 	if n > 0 {
 		ep.idleStreak = 0
 	}
@@ -907,25 +915,11 @@ func (ep *Endpoint) PollInternal() int {
 	n := 0
 	for i := range msgs {
 		m := &msgs[i]
-		switch m.Handler {
-		case hPutReq:
-			if m.Fn != nil || m.A2 != 0 {
-				// Apply the data and ack now; hold the user-level work —
-				// the remote-completion closure and/or the wire notify —
-				// for Poll.
-				if fn, ok := ep.applyPutHeld(m); ok && fn != nil {
-					ep.held = append(ep.held, Msg{Handler: hHeldFn, Fn: fn})
-				}
-				m.release() // payload consumed by CopyIn (or refused)
-				n++
-				continue
-			}
-			ep.dispatch(m)
-			m.release()
-			n++
-		case hGetReq, hAmoReq:
-			ep.dispatch(m)
-			m.release()
+		switch {
+		case ep.isFrame(m):
+			n += ep.host.expandFrame(m, true)
+		case ep.serviceRequest(m):
+			m.release() // payload consumed
 			n++
 		default:
 			// Acks, replies, and user-level messages wait for Poll. Copy:
@@ -937,6 +931,28 @@ func (ep *Endpoint) PollInternal() int {
 	}
 	ep.Flush()
 	return n
+}
+
+// serviceRequest applies m for PollInternal if it is a request — a remote
+// put, get or atomic targeting this rank's segment — and reports whether
+// it was; it leaves m's buffer reference to the caller. A put's
+// user-level work (its remote-completion closure, its wire notify) is
+// held for Poll; the data is applied and the ack sent now.
+func (ep *Endpoint) serviceRequest(m *Msg) bool {
+	switch m.Handler {
+	case hPutReq:
+		if m.Fn != nil || m.A2 != 0 {
+			if fn, ok := ep.applyPutHeld(m); ok && fn != nil {
+				ep.held = append(ep.held, Msg{Handler: hHeldFn, Fn: fn})
+			}
+			return true
+		}
+	case hGetReq, hAmoReq:
+	default:
+		return false
+	}
+	ep.dispatch(m)
+	return true
 }
 
 // InboxEmpty reports whether no messages (deliverable or in flight) are

@@ -60,12 +60,17 @@ func FuzzDecodeMsg(f *testing.F) {
 }
 
 // FuzzDecodeDatagram: arbitrary whole datagrams — any framing tag,
-// sequenced or not, truncated anywhere — must be parsed to completion or
-// rejected with an error, never panic. This is the frame walk the UDP
-// reader goroutine runs on the inner frame of a sequenced datagram; the
-// reader drops a bare frameSingle/frameBatch before parsing it
-// (FuzzDecodeFrameSeq asserts that), but the walk is fuzzed on bare
-// frames too, since the inner bytes are the same untrusted input.
+// sequenced or not, truncated anywhere — must be validated or rejected,
+// never panic, and the two halves of the frame path must agree with
+// decodeMsg applied message by message (refFrame). The reader's validation
+// walk (scanFrame) must count exactly the valid prefix refFrame decodes,
+// flag a corrupt suffix, and ask for a lazy ack only for a clean frame of
+// replies; the owner's in-place decode (openFrame, decodeWire) must
+// reproduce each of those messages field for field, with a payload that
+// ends where its message ends. The reader drops a bare
+// frameSingle/frameBatch before walking it (FuzzDecodeFrameSeq asserts
+// that), but the walk is fuzzed on bare frames too, since the inner bytes
+// are the same untrusted input.
 func FuzzDecodeDatagram(f *testing.F) {
 	m := Msg{Handler: HandlerUserBase, From: 0, A0: 42, Payload: []byte("fuzz")}
 
@@ -103,6 +108,7 @@ func FuzzDecodeDatagram(f *testing.F) {
 	cut := appendBatch(nil, &m, 2)
 	f.Add(cut[:len(cut)-len(encodeMsg(nil, &m))-2])
 
+	replies := uint64(1<<hPutAck | 1<<hGetRep | 1<<hAmoRep)
 	f.Fuzz(func(t *testing.T, data []byte) {
 		frame := data
 		if len(frame) > 0 && frame[0] == frameSeq {
@@ -111,18 +117,86 @@ func FuzzDecodeDatagram(f *testing.F) {
 			}
 			frame = frame[relHeaderLen:]
 		}
-		it := parseDatagram(frame)
-		n := 0
-		for {
-			if _, ok := it.next(); !ok {
-				break
-			}
-			if n++; n > 1<<16 {
-				t.Fatal("iterator failed to terminate")
+		want, wantCorrupt := refFrame(frame)
+		n, level, corrupt := scanFrame(frame, replies)
+		if n != len(want) || corrupt != wantCorrupt {
+			t.Fatalf("scanFrame: %d valid, corrupt %v; decodeMsg: %d valid, corrupt %v",
+				n, corrupt, len(want), wantCorrupt)
+		}
+		wantLevel := uint32(ackLazy)
+		for _, m := range want {
+			if replies&(1<<m.Handler) == 0 {
+				wantLevel = ackUrgent
 			}
 		}
-		_ = it.err // decode errors are reported, not panicked
+		if corrupt {
+			wantLevel = ackUrgent
+		}
+		if level != wantLevel {
+			t.Fatalf("scanFrame ack level %d, want %d", level, wantLevel)
+		}
+		walk, _ := openFrame(frame)
+		for i := range want {
+			body, ok := walk.next()
+			var got Msg
+			if !ok || !decodeWire(&got, body) {
+				t.Fatalf("message %d of %d: the owner's walk stopped", i, n)
+			}
+			if string(got.Payload) != string(want[i].Payload) || cap(got.Payload) != len(got.Payload) ||
+				cap(want[i].Payload) != len(want[i].Payload) {
+				t.Fatalf("message %d: payload %x (cap %d), decodeMsg %x (cap %d)",
+					i, got.Payload, cap(got.Payload), want[i].Payload, cap(want[i].Payload))
+			}
+			if g, w := wireFields(&got), wireFields(&want[i]); g != w {
+				t.Fatalf("message %d: %+v, decodeMsg %+v", i, got, want[i])
+			}
+		}
 	})
+}
+
+// wireFields returns a message's fixed wire fields, comparable.
+func wireFields(m *Msg) [6]uint64 {
+	return [6]uint64{uint64(m.Handler), uint64(m.From), m.A0, m.A1, m.A2, m.A3}
+}
+
+// refFrame decodes a frameSingle/frameBatch frame message by message with
+// decodeMsg, independently of frameWalk: the messages of its valid prefix,
+// and whether anything past them (or the header) is corrupt.
+func refFrame(frame []byte) (msgs []Msg, corrupt bool) {
+	if len(frame) == 0 {
+		return nil, true
+	}
+	switch frame[0] {
+	case frameSingle:
+		m, err := decodeMsg(frame[1:])
+		if err != nil {
+			return nil, true
+		}
+		return []Msg{m}, false
+	case frameBatch:
+		if len(frame) < batchHeaderLen {
+			return nil, true
+		}
+		count := int(binary.LittleEndian.Uint16(frame[1:]))
+		if count == 0 {
+			return nil, true
+		}
+		rest := frame[batchHeaderLen:]
+		for ; count > 0; count-- {
+			if len(rest) < 4 || uint64(binary.LittleEndian.Uint32(rest)) > uint64(len(rest)-4) {
+				return msgs, true
+			}
+			l := int(binary.LittleEndian.Uint32(rest))
+			m, err := decodeMsg(rest[4 : 4+l])
+			if err != nil {
+				return msgs, true
+			}
+			msgs = append(msgs, m)
+			rest = rest[4+l:]
+		}
+		return msgs, false
+	}
+	return nil, true
 }
 
 // appendBatch appends a frameBatch of n copies of m, framed exactly as the

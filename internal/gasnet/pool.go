@@ -9,14 +9,18 @@ import (
 // substrate's injection and delivery paths: every encoded datagram, every
 // received datagram, and every staged RMA payload lives in a recycled,
 // size-classed buffer. Ownership is reference-counted because one received
-// datagram may carry several coalesced messages that are dispatched (and
-// possibly held across polls) independently.
+// datagram may carry several coalesced messages, and internal-level
+// progress may hold some of them across polls.
 //
 // Ownership rules (see also DESIGN.md §7):
 //
 //   - arena.get returns a buffer with one reference, owned by the caller.
 //   - A Msg whose buf field is set owns one reference; whoever consumes the
 //     message (the dispatch loop, after the handler returns) releases it.
+//   - A received UDP frame is one inbox entry owning one reference. Its
+//     messages borrow it for their dispatch, and the owner releases it
+//     after the last handler returns; a message PollInternal holds for
+//     the next Poll is a copy with a reference of its own.
 //   - Handlers therefore may read Msg.Payload for the duration of the call
 //     only; retaining the bytes requires a copy.
 //   - The reliability layer's retransmission queue (reliable.go) holds one
@@ -46,8 +50,8 @@ type wireBuf struct {
 	refs  atomic.Int32
 }
 
-// retain adds n references (used when one datagram fans out into n
-// messages).
+// retain adds n references (a retransmission queue's hold on a frame, a
+// held copy of one message of a received frame).
 func (wb *wireBuf) retain(n int32) { wb.refs.Add(n) }
 
 // release drops one reference, recycling the buffer when it was the last.

@@ -44,8 +44,8 @@ type amQueue struct {
 
 	scratch []Msg // drain buffer, reused across polls; see drain's contract
 
-	// fastPushes counts messages delivered through the lock-free ring;
-	// spills counts messages that overflowed into the backlog. fastPushes
+	// fastPushes counts entries delivered through the lock-free ring;
+	// spills counts entries that overflowed into the backlog. fastPushes
 	// is tallied on the consumer side (batched per drain) so the producer
 	// fast path carries no shared counter traffic.
 	fastPushes atomic.Int64

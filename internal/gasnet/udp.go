@@ -36,9 +36,10 @@ import (
 // Neither travels bare: frameSeq wraps each in the reliability layer's
 // sequenced header (see reliable.go), and a bare frameSingle/frameBatch
 // arriving on a socket is counted and dropped — it would bypass the
-// incarnation gate, duplicate suppression and sequencing. The receiver
-// unpacks a batch into individual inbox messages that all share (and
-// reference-count) the datagram's pooled buffer.
+// incarnation gate, duplicate suppression and sequencing. The reader
+// validates a delivered frame and pushes it whole, as one inbox entry
+// holding the datagram's pooled buffer; the owner decodes its messages in
+// place, in wire order, when it polls.
 //
 // The receive path never trusts the kernel-delivered bytes: truncated or
 // corrupt frames of any kind are counted (Stats.DecodeErrors) and dropped,
@@ -158,6 +159,11 @@ type host struct {
 
 	// co stages this rank's outgoing wire messages until they leave.
 	co coalescer
+
+	// rx is the owner's scratch message: each message of a received frame
+	// is decoded into it in place and dispatched from it (expandFrame).
+	// Owner goroutine only; cleared after each frame.
+	rx Msg
 }
 
 // udpTransport is the per-domain socket state for the UDP conduit.
@@ -299,8 +305,9 @@ func (d *Domain) startReader(tr *udpTransport, ep *Endpoint, bc batchConn) {
 		defer tr.wg.Done()
 		// One ReadBatch drains up to recvBatchSize queued datagrams per
 		// wakeup, each read straight into its own pooled buffer: the
-		// decoded messages alias the buffer and release it after
-		// dispatch, so the steady-state receive path allocates nothing
+		// frame's inbox entry holds the buffer until the owner has
+		// dispatched its messages, so the steady-state receive path
+		// allocates nothing
 		// — and a burst of frames costs one recvmmsg instead of one
 		// recvfrom per datagram.
 		bufs := make([]*wireBuf, recvBatchSize)
@@ -414,114 +421,162 @@ func (d *Domain) receiveDatagram(ep *Endpoint, wb *wireBuf) {
 	wb.release()
 }
 
-// datagramIter walks the wire messages packed in one frameSingle or
-// frameBatch frame without allocating. After next returns false, err
-// reports whether the walk ended on a corrupt frame.
-type datagramIter struct {
-	b      []byte
-	off    int
-	count  int // messages remaining
-	single bool
-	err    error
+// frameWalk steps through the message bodies packed in one frameSingle or
+// frameBatch frame without allocating. Each body is capped at its own
+// length (see decodeWire). The reader walks a frame once to validate it
+// (scanFrame); the owner walks it again to decode and dispatch the
+// messages the reader counted (host.expandFrame).
+type frameWalk struct {
+	b    []byte
+	off  int
+	left int // messages the header claims that the walk has not reached
 }
 
-// parseDatagram validates the header of the inner frame of a sequenced
-// datagram and returns an iterator over its messages. It accepts exactly
-// the frames the senders in this file emit; anything else yields an error.
-func parseDatagram(frame []byte) datagramIter {
+// openFrame validates the header of the inner frame of a sequenced
+// datagram and returns a walk over its messages. It accepts exactly the
+// frames the senders in this file emit; anything else reports false.
+func openFrame(frame []byte) (frameWalk, bool) {
 	if len(frame) < 1 {
-		return datagramIter{err: errors.New("gasnet: empty datagram")}
+		return frameWalk{}, false
 	}
 	switch frame[0] {
 	case frameSingle:
-		return datagramIter{b: frame, off: 1, count: 1, single: true}
+		return frameWalk{b: frame, off: 1, left: 1}, true
 	case frameBatch:
 		if len(frame) < batchHeaderLen {
-			return datagramIter{err: errors.New("gasnet: truncated batch datagram")}
+			return frameWalk{}, false
 		}
 		count := int(binary.LittleEndian.Uint16(frame[1:3]))
-		if count == 0 {
-			return datagramIter{err: errors.New("gasnet: empty batch datagram")}
-		}
-		return datagramIter{b: frame, off: batchHeaderLen, count: count}
+		return frameWalk{b: frame, off: batchHeaderLen, left: count}, count > 0
 	default:
-		return datagramIter{err: fmt.Errorf("gasnet: unknown frame tag %#x", frame[0])}
+		return frameWalk{}, false
 	}
 }
 
-// next decodes the next packed message. The returned message's Payload
-// aliases the frame bytes.
-func (it *datagramIter) next() (Msg, bool) {
-	if it.err != nil || it.count == 0 {
-		return Msg{}, false
+// next returns the next message body. It reports false at the end of the
+// frame, and on a length prefix or body that overruns it — the walk then
+// stops with left > 0.
+func (w *frameWalk) next() ([]byte, bool) {
+	if w.left == 0 {
+		return nil, false
 	}
-	var body []byte
-	if it.single {
-		body = it.b[it.off:]
-		it.off = len(it.b)
-	} else {
-		if it.off+4 > len(it.b) {
-			it.err = errors.New("gasnet: truncated batch datagram")
-			return Msg{}, false
+	end := len(w.b)
+	if w.b[0] == frameBatch {
+		if end-w.off < 4 {
+			return nil, false
 		}
-		l := int(binary.LittleEndian.Uint32(it.b[it.off:]))
-		it.off += 4
-		if l > len(it.b)-it.off {
-			it.err = errors.New("gasnet: truncated batch entry")
-			return Msg{}, false
+		l := int(binary.LittleEndian.Uint32(w.b[w.off:]))
+		w.off += 4
+		if l > end-w.off {
+			return nil, false
 		}
-		body = it.b[it.off : it.off+l]
-		it.off += l
+		end = w.off + l
 	}
-	m, err := decodeMsg(body)
-	if err != nil {
-		it.err = err
-		return Msg{}, false
-	}
-	it.count--
-	return m, true
+	body := w.b[w.off:end:end]
+	w.off = end
+	w.left--
+	return body, true
 }
 
-// deliverParsed is the step after reliability unwrapping (it is called
-// only from host.stepStreams): it decodes one frameSingle/frameBatch
-// frame (whose bytes live in wb) and pushes its message(s) into ep's
-// inbox, taking ownership of wb. Corrupt frames are counted and dropped —
-// a valid prefix of a batch is still delivered: the sequence number is
-// already consumed, and a well-behaved sender never produces one. It
-// returns the ack level the frame asks for: ackLazy when every message was
-// a reply, ackUrgent otherwise (a corrupt frame included).
-//
-// Each pushed message takes its own reference before it is published,
-// and the caller's reference is dropped only after the last message is
-// parsed: the owner may dispatch and release a pushed message while the
-// rest of the batch is still being read out of wb.
-func (d *Domain) deliverParsed(ep *Endpoint, wb *wireBuf, frame []byte) uint32 {
-	it := parseDatagram(frame)
-	replies := d.udp.replies.Load()
-	level := ackLazy
-	pushed := 0
+// scanFrame is the reader's one walk over a delivered frame: it checks
+// each length prefix, that each body holds a message header, and folds
+// each handler id into the ack level the frame asks for — ackLazy when
+// every message is a reply (a handler id with its bit set in replies),
+// ackUrgent otherwise. It returns how many messages from the front are
+// valid, and whether the frame is corrupt past them: a corrupt frame's
+// valid prefix is still delivered (the sequence number is already
+// consumed, and a well-behaved sender never produces one), and its ack is
+// urgent.
+func scanFrame(frame []byte, replies uint64) (n int, level uint32, corrupt bool) {
+	w, ok := openFrame(frame)
+	if !ok {
+		return 0, ackUrgent, true
+	}
+	level = ackLazy
 	for {
-		m, ok := it.next()
+		body, ok := w.next()
 		if !ok {
 			break
 		}
-		if replies&(1<<m.Handler) == 0 {
+		if len(body) < wireHeaderLen {
+			return n, ackUrgent, true
+		}
+		if replies&(1<<body[0]) == 0 {
 			level = ackUrgent
 		}
-		wb.retain(1)
-		m.buf = wb
-		ep.inbox.push(m)
-		pushed++
+		n++
 	}
-	if it.err != nil {
+	if w.left > 0 {
+		return n, ackUrgent, true
+	}
+	return n, level, false
+}
+
+// deliverParsed is the step after reliability unwrapping (it is called
+// only from host.stepStreams): it validates one frameSingle/frameBatch
+// frame (whose bytes live in wb) with scanFrame and pushes it into ep's
+// inbox as one hFrame entry — Payload the frame, A0 the number of valid
+// messages, buf the caller's reference on wb, which the entry takes over.
+// The owner decodes the messages in place when it drains the entry
+// (host.expandFrame). A corrupt frame is counted once; a frame with no
+// valid message is dropped here. It returns scanFrame's ack level.
+func (d *Domain) deliverParsed(ep *Endpoint, wb *wireBuf, frame []byte) uint32 {
+	n, level, corrupt := scanFrame(frame, d.udp.replies.Load())
+	if corrupt {
 		d.decodeErrors.Add(1)
-		level = ackUrgent
 	}
-	wb.release()
-	if pushed > 0 {
-		ep.notify()
+	if n == 0 {
+		wb.release()
+		return level
 	}
+	ep.inbox.push(Msg{Handler: hFrame, A0: uint64(n), Payload: frame, buf: wb})
+	ep.notify()
 	return level
+}
+
+// isFrame reports whether inbox entry m is a received UDP frame, one entry
+// for many messages, rather than a single message. Only a socket-fed
+// endpoint holds frames, and every other entry it holds carries a closure
+// (Send stages wire-encodable messages for the socket), so a message sent
+// with the reserved id hFrame is still dispatched — and dropped — as one.
+func (ep *Endpoint) isFrame(m *Msg) bool {
+	return m.Handler == hFrame && m.Fn == nil && ep.host != nil
+}
+
+// expandFrame expands one hFrame inbox entry on the owner goroutine: it
+// decodes each message in wire order into the scratch h.rx and drops the
+// frame's reference once the last one is done with. For Poll (internal
+// false) it dispatches every message and returns how many; the messages
+// borrow the frame's reference, and a handler keeps Payload bytes only by
+// copying them, as on every conduit. For PollInternal it applies the
+// requests, holds a copy of every other message for the next Poll — each
+// copy with its own reference on the frame — and returns how many
+// requests it applied.
+func (h *host) expandFrame(e *Msg, internal bool) int {
+	// Locals first: a handler that drains the inbox again reuses the
+	// scratch slice e lives in.
+	w, _ := openFrame(e.Payload)
+	n, wb := int(e.A0), e.buf
+	e.buf = nil
+	done := 0
+	for i := 0; i < n; i++ {
+		body, _ := w.next()
+		decodeWire(&h.rx, body)
+		switch {
+		case !internal:
+			h.ep.dispatch(&h.rx)
+		case !h.ep.serviceRequest(&h.rx):
+			wb.retain(1)
+			held := h.rx
+			held.buf = wb
+			h.ep.held = append(h.ep.held, held)
+			continue
+		}
+		done++
+	}
+	h.rx = Msg{}
+	wb.release()
+	return done
 }
 
 // writeFrame puts one frame on the wire — a retransmission, a standalone

@@ -1,6 +1,8 @@
 package gupcxx_test
 
 import (
+	"bytes"
+	"encoding/binary"
 	"runtime"
 	"strings"
 	"testing"
@@ -137,5 +139,58 @@ func TestRPCWireUnregisteredFails(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestRPCWireArgsAppendIsolated: a wire-RPC handler that appends to its
+// args must not write into the next message of the same received frame.
+// Rank 0 issues its calls in pairs, which leave in one datagram; rank 1's
+// handler appends 64 bytes to args and returns args as it came. Every
+// reply must echo its own call's argument.
+func TestRPCWireArgsAppendIsolated(t *testing.T) {
+	ws := newProcessPair(t)
+	defer ws[0].Close()
+	defer ws[1].Close()
+	var pad [64]byte
+	for i := range pad {
+		pad[i] = 0xAA
+	}
+	var echo gupcxx.RPCHandlerID
+	for _, w := range ws {
+		echo = w.RegisterRPC(func(_ *gupcxx.Rank, args []byte) []byte {
+			_ = append(args, pad[:]...)
+			return args
+		})
+	}
+	served := make(chan error, 1)
+	go func() {
+		served <- ws[1].Run(func(r *gupcxx.Rank) { r.Barrier() })
+	}()
+	const pairs = 200
+	corrupt := 0
+	err := ws[0].Run(func(r *gupcxx.Rank) {
+		defer r.Barrier()
+		for i := 0; i < pairs; i++ {
+			var args [2][8]byte
+			var futs [2]gupcxx.FutureV[[]byte]
+			for j := range futs {
+				binary.LittleEndian.PutUint64(args[j][:], uint64(2*i+j))
+				futs[j] = gupcxx.RPCWire(r, 1, echo, args[j][:])
+			}
+			for j, f := range futs {
+				if got := f.Wait(); !bytes.Equal(got, args[j][:]) {
+					corrupt++
+				}
+			}
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := <-served; err != nil {
+		t.Fatal(err)
+	}
+	if corrupt != 0 {
+		t.Errorf("%d of %d replies corrupted by the handler's append", corrupt, 2*pairs)
 	}
 }
