@@ -132,7 +132,7 @@ func TestAckPlacement(t *testing.T) {
 		name  string
 		start func(w *ackWorld, done func(error))
 	}{
-		{"hPutAck", func(w *ackWorld, done func(error)) { w.ep0.PutRemote(1, 0, w.word[:], nil, done) }},
+		{"cumulative reply", func(w *ackWorld, done func(error)) { w.ep0.PutRemote(1, 0, w.word[:], nil, done) }},
 		{"hGetRep", func(w *ackWorld, done func(error)) { w.ep0.GetRemote(1, 0, 8, w.word[:], done) }},
 		{"hAmoRep", func(w *ackWorld, done func(error)) { w.ep0.AmoRemote(1, 0, AmoAdd, 1, 0, w.word[:], done) }},
 		{"registered reply", func(w *ackWorld, done func(error)) {

@@ -11,12 +11,12 @@ import (
 // layers (the gupcxx runtime) register additional handlers starting at
 // HandlerUserBase.
 const (
-	hPutReq uint8 = iota // put request: apply payload at offset, reply ack
-	hPutAck              // put acknowledgment: complete outstanding op
+	hPutReq uint8 = iota // put request: apply payload at offset
+	hPutAck              // cumulative reply or nack: complete value-less ops (rma.go)
 	hGetReq              // get request: read range, reply with data
 	hGetRep              // get reply: deliver data, complete outstanding op
-	hAmoReq              // atomic request: apply op, reply with old value
-	hAmoRep              // atomic reply: deliver old value, complete op
+	hAmoReq              // atomic request: apply op; a fetching one replies with the old value
+	hAmoRep              // atomic or closure-put reply: deliver old value, complete op
 	hHeldFn              // held remote-completion closure (PollInternal)
 	hFrame               // one received UDP frame: an inbox entry, never a wire message (udp.go)
 

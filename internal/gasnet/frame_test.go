@@ -211,3 +211,54 @@ func TestFrameDelivery(t *testing.T) {
 		}
 	})
 }
+
+// TestForgedFrameMessagesDropped: a sequenced frame from an authenticated
+// peer can still carry anything in its messages. One with the reserved id
+// hHeldFn has no closure off the wire, so it is counted in BadHandlerDrops
+// and dropped, not run. A request whose body names a sender out of range
+// is answered to the frame's sender: a reply addressed by the body's field
+// would index past the coalescer's destinations. The rank keeps running.
+func TestForgedFrameMessagesDropped(t *testing.T) {
+	d, err := newDomain(Config{
+		Ranks: 2, Conduit: UDP, Fault: &FaultConfig{},
+		SuspectAfter: time.Hour, DownAfter: time.Hour,
+	}, func(c *net.UDPConn, _ *Domain) batchConn { return isolatedConn{seqConn{c}} })
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer d.Close()
+	ep1 := d.Endpoint(1)
+	var from []int32
+	inner := d.handlers[hGetReq]
+	d.handlers[hGetReq] = func(ep *Endpoint, m *Msg) {
+		from = append(from, m.From)
+		inner(ep, m)
+	}
+	msgs := []Msg{
+		{Handler: hHeldFn, From: 0},
+		{Handler: hGetReq, From: 77, A0: 1, A2: 4},
+	}
+	b := append(seqHdr(0, 1, 1, 0), frameBatch, byte(len(msgs)), 0)
+	for i := range msgs {
+		enc := encodeMsg(nil, &msgs[i])
+		b = binary.LittleEndian.AppendUint32(b, uint32(len(enc)))
+		b = append(b, enc...)
+	}
+	wb := d.arena.get(bufClassLarge)
+	wb.b = append(wb.b[:0], b...)
+	before := d.Stats()
+	d.receiveDatagram(ep1, wb)
+	if n := ep1.Poll(); n != 2 {
+		t.Errorf("Poll dispatched %d messages, want 2", n)
+	}
+	after := d.Stats()
+	if n := after.BadHandlerDrops - before.BadHandlerDrops; n != 1 {
+		t.Errorf("BadHandlerDrops rose by %d, want 1 (the hHeldFn message)", n)
+	}
+	if !slices.Equal(from, []int32{0}) {
+		t.Errorf("the get request was dispatched from %v, want from the frame's sender [0]", from)
+	}
+	if n := after.DatagramsSent - before.DatagramsSent; n != 1 {
+		t.Errorf("%d datagrams sent, want 1: the get reply to rank 0", n)
+	}
+}

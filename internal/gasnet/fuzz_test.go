@@ -335,3 +335,125 @@ func FuzzDecodeFrameSeq(f *testing.F) {
 		}
 	})
 }
+
+// FuzzDispatchWire drives arbitrary internal-protocol messages — any
+// handler id below HandlerUserBase, the reserved ones included — through
+// the real handlers of a live endpoint that has value and value-less ops
+// pending. (FuzzDecodeFrameSeq neutralizes the handlers, so forged replies
+// never meet the op table or the completion queues there.) The input's
+// first byte picks the progress call — Poll, or PollInternal then Poll —
+// and each following fuzzMsgLen bytes decode into one message (see
+// fuzzMsg); the messages ride one sequenced frame from rank 1 that rank 0
+// receives. Whenever fewer than eight ops are pending, rank 0 starts one
+// of each kind (put, atomic, get, fetching atomic) toward rank 1, which
+// never answers: every reply rank 0 sees is forged. The contract is no
+// panic, every done at most once, and PendingOps equal to the ops
+// started minus the ops completed.
+func FuzzDispatchWire(f *testing.F) {
+	d, err := newDomain(Config{
+		Ranks: 2, Conduit: UDP, Fault: &FaultConfig{}, SegmentBytes: 1 << 12,
+		SuspectAfter: time.Hour, DownAfter: time.Hour,
+	}, func(c *net.UDPConn, _ *Domain) batchConn { return isolatedConn{seqConn{c}} })
+	if err != nil {
+		f.Fatal(err)
+	}
+	defer d.Close()
+	ep0 := d.Endpoint(0)
+	started, completed, twice := 0, 0, 0
+	op := func() func(error) {
+		started++
+		ran := false
+		return func(error) {
+			if ran {
+				twice++
+			}
+			ran = true
+			completed++
+		}
+	}
+	var dst [2][8]byte
+	seq := uint32(0)
+
+	// Seeds: an hHeldFn message off the wire (it carries no closure), and
+	// a cumulative reply beyond the queue's tail.
+	f.Add([]byte{0, hHeldFn, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, hPutAck, 7, 0, 0, 0, 0, 0, 0})
+	// A nack and a cumulative reply for live entries, a get reply and an
+	// atomic reply for live cookies, and requests of every kind (a
+	// value-less atomic, a put with a payload) — by Poll, and by
+	// PollInternal then Poll.
+	f.Add([]byte{0, hPutAck, 3, 0, 0, 0, 0, 1, 0, hPutAck, 3, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, hGetRep, 0, 0, 0, 0, 0, 0, 3, 1, 2, 3, hAmoRep, 1, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, hAmoReq, 1, 2, 1, 1, 5, 0, 0, hPutReq, 4, 1, 0, 0, 0, 0, 4, 9, 9, 9, 9, hGetReq, 2, 1, 0, 0, 8, 0, 0})
+
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if ep0.PendingOps() < 8 {
+			ep0.PutRemote(1, 0, []byte{1, 2, 3, 4, 5, 6, 7, 8}, nil, op())
+			ep0.AmoRemote(1, 8, AmoAdd, 1, 0, nil, op())
+			ep0.GetRemote(1, 16, 8, dst[0][:], op())
+			ep0.AmoRemote(1, 24, AmoAdd, 1, 0, dst[1][:], op())
+		}
+		if len(data) == 0 {
+			return
+		}
+		internal := data[0]&1 != 0
+		var frame []byte
+		count := 0
+		for rest := data[1:]; len(rest) >= fuzzMsgLen && count < 64; count++ {
+			var m Msg
+			rest = fuzzMsg(&m, rest, ep0.cum.out[1].head)
+			frame = binary.LittleEndian.AppendUint32(frame, uint32(wireHeaderLen+len(m.Payload)))
+			frame = appendMsg(frame, &m)
+		}
+		if count > 0 {
+			// The frame also acks everything rank 0 has sent rank 1, so
+			// the replies it stages never fill the send window.
+			p := d.peer(0, 1)
+			p.mu.Lock()
+			ack := p.nextSeq
+			p.mu.Unlock()
+			seq++
+			wb := d.arena.get(bufClassLarge)
+			wb.b = append(append(append(wb.b[:0], seqHdr(1, d.inc, seq, ack)...), frameBatch, byte(count), 0), frame...)
+			d.receiveDatagram(ep0, wb)
+			if internal {
+				ep0.PollInternal()
+			}
+			ep0.Poll()
+		}
+		if twice != 0 {
+			t.Fatalf("%d completion callbacks ran a second time", twice)
+		}
+		if n := ep0.PendingOps(); n != started-completed {
+			t.Fatalf("PendingOps = %d, want %d started - %d completed", n, started, completed)
+		}
+	})
+}
+
+// fuzzMsgLen is how many input bytes fuzzMsg decodes into one message's
+// fixed fields.
+const fuzzMsgLen = 8
+
+// fuzzMsg decodes the front of b into m and returns the rest. b[0] picks
+// the handler id, modulo HandlerUserBase. b[1] picks A0: within two below
+// and five above head, the cumulative queue's head toward rank 1, for the
+// cumulative reply (hPutAck); below 8, where the op table's cookies live,
+// for any other id. A1 is an 8-aligned offset (b[2]), an atomic op code
+// (b[3]) and the value-less flag (b[4]); A2 is b[5]; A3 is b[6] modulo 4
+// (a reply's status, a put's notify-argument length). The payload is the
+// next b[7] modulo 16 bytes. From is forged too: the frame's sender
+// replaces it.
+func fuzzMsg(m *Msg, b []byte, head uint64) []byte {
+	m.Handler = b[0] % HandlerUserBase
+	m.From = int32(b[7])
+	m.A0 = uint64(b[1] % 8)
+	if m.Handler == hPutAck {
+		m.A0 += head - 2
+	}
+	m.A1 = uint64(b[2])<<3 | uint64(b[3]%16)<<32 | uint64(b[4]&1)<<63
+	m.A2 = uint64(b[5])
+	m.A3 = uint64(b[6] % 4)
+	n := min(int(b[7]%16), len(b)-fuzzMsgLen)
+	m.Payload = b[fuzzMsgLen : fuzzMsgLen+n]
+	return b[fuzzMsgLen+n:]
+}

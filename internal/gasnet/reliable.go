@@ -124,9 +124,10 @@ const (
 // flushAcks ships at. Where a pending ack leaves follows from what the
 // frames it acknowledges carried (DESIGN.md §8.2, "Where an ack leaves"):
 //
-//   - A frame of replies only (hPutAck, hGetRep, hAmoRep, and the ids the
-//     runtime registers with Domain.RegisterReplyHandler) completes ops
-//     this rank started, and its sender expects nothing back but the ack.
+//   - A frame of replies only (hPutAck — the cumulative reply — hGetRep,
+//     hAmoRep, and the ids the runtime registers with
+//     Domain.RegisterReplyHandler) completes ops this rank started, and
+//     its sender expects nothing back but the ack.
 //     The ack is lazy: it rides this rank's next frame to the sender — in
 //     a blocking loop, the next request — or leaves at the rank's next
 //     Idle, or at the ticker's pacing deadline (ackDelay).
@@ -382,10 +383,10 @@ func (h *host) stepStreams(p *peer, to int, ev streamEvent, now int64) streamFx 
 	fx := p.step(ev, now)
 	level := ackNone // the most urgent ack the frames delivered here ask for
 	if fx.do&sfxDeliver != 0 {
-		level = d.deliverParsed(ep, ev.wb, ev.wb.b[relHeaderLen:])
+		level = d.deliverParsed(ep, to, ev.wb, ev.wb.b[relHeaderLen:])
 	}
 	for i, wb := range p.ready {
-		level = max(level, d.deliverParsed(ep, wb, wb.b[relHeaderLen:]))
+		level = max(level, d.deliverParsed(ep, to, wb, wb.b[relHeaderLen:]))
 		p.ready[i] = nil
 	}
 	p.ready = p.ready[:0]
@@ -415,7 +416,8 @@ func (h *host) stepStreams(p *peer, to int, ev streamEvent, now int64) streamFx 
 	p.reorderHW = max(p.reorderHW, p.nparked)
 	if fx.do&sfxReleased != 0 {
 		// Frames left the in-flight window. No op completes on a transport
-		// ack — every op completes on its reply message — but a rank may be
+		// ack — every op completes on a reply message, its own or a
+		// cumulative one — but a rank may be
 		// parked waiting for exactly this: World.drainWire waits until
 		// nothing it sent is in flight before it closes, and a window-blocked
 		// sender waits for credit. Wake it now rather than at the park

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
+	"slices"
 	"testing"
 )
 
@@ -20,25 +21,28 @@ import (
 //     forgery is counted in BadCookieDrops and dropped without taking the
 //     slot, so the genuine reply still completes the op.
 //
-// Only the reply rows write dst; no failure touches it.
+// Only the reply rows write dst; no failure touches it. The value-less ops
+// (put, amo) complete on the cumulative reply, whose handler id is
+// hPutAck; the value ops on their own reply.
 func TestReplyResolutionTable(t *testing.T) {
 	const word = 40 // the target word's value before the op
 	ops := []struct {
 		name  string
 		rep   uint8
 		dst   bool
+		amo   bool
 		start func(ep *Endpoint, off uint32, op AmoOp, dst []byte, done func(error))
 	}{
-		{"put", hPutAck, false, func(ep *Endpoint, off uint32, _ AmoOp, _ []byte, done func(error)) {
+		{"put", hPutAck, false, false, func(ep *Endpoint, off uint32, _ AmoOp, _ []byte, done func(error)) {
 			ep.PutRemote(1, off, make([]byte, 8), nil, done)
 		}},
-		{"get", hGetRep, true, func(ep *Endpoint, off uint32, _ AmoOp, dst []byte, done func(error)) {
+		{"get", hGetRep, true, false, func(ep *Endpoint, off uint32, _ AmoOp, dst []byte, done func(error)) {
 			ep.GetRemote(1, off, 8, dst, done)
 		}},
-		{"fetching-amo", hAmoRep, true, func(ep *Endpoint, off uint32, op AmoOp, dst []byte, done func(error)) {
+		{"fetching-amo", hAmoRep, true, true, func(ep *Endpoint, off uint32, op AmoOp, dst []byte, done func(error)) {
 			ep.AmoRemote(1, off, op, 2, 0, dst, done)
 		}},
-		{"amo", hAmoRep, false, func(ep *Endpoint, off uint32, op AmoOp, _ []byte, done func(error)) {
+		{"amo", hPutAck, false, true, func(ep *Endpoint, off uint32, op AmoOp, _ []byte, done func(error)) {
 			ep.AmoRemote(1, off, op, 2, 0, nil, done)
 		}},
 	}
@@ -58,7 +62,7 @@ func TestReplyResolutionTable(t *testing.T) {
 	sentinel := bytes.Repeat([]byte{0xa5}, 8)
 	for _, o := range ops {
 		for _, oc := range outcomes {
-			if oc.amoOnly && o.rep != hAmoRep {
+			if oc.amoOnly && !o.amo {
 				continue
 			}
 			t.Run(o.name+"/"+oc.name, func(t *testing.T) {
@@ -132,7 +136,9 @@ func TestReplyResolutionTable(t *testing.T) {
 	}
 }
 
-// liveCookie returns the cookie of ep's one outstanding operation.
+// liveCookie returns what the reply to ep's one outstanding operation
+// carries in A0: a value op's cookie, or a value-less op's sequence
+// number.
 func liveCookie(t *testing.T, ep *Endpoint) uint64 {
 	t.Helper()
 	for id, s := range ep.ops.slots {
@@ -140,6 +146,140 @@ func liveCookie(t *testing.T, ep *Endpoint) uint64 {
 			return uint64(id)
 		}
 	}
+	if c := ep.cum; c != nil {
+		for _, q := range c.out {
+			for seq := q.head; seq < q.tail; seq++ {
+				if q.ring[seq&uint64(len(q.ring)-1)].done != nil {
+					return seq
+				}
+			}
+		}
+	}
 	t.Fatal("no outstanding operation")
 	return 0
+}
+
+// TestCumulativeReplyResolution walks the ways a run of value-less ops
+// resolves that a single op cannot show. Rank 1 never polls, so every
+// reply is one the test hands rank 0's hPutAck handler: a nack (A3 set)
+// fails its own entry, a cumulative reply completes every unresolved
+// entry through its sequence number, in order, and anything outside the
+// queue is counted in BadCookieDrops and completes nothing.
+func TestCumulativeReplyResolution(t *testing.T) {
+	type outcome struct {
+		calls int
+		err   error
+	}
+	// world starts n value-less ops from rank 0 to rank 1 (puts and adds,
+	// alternating) and returns the domain, an op's record by index, the
+	// order ops completed in, and reply, which hands rank 0 the reply
+	// (seq, status) from rank 1.
+	world := func(t *testing.T, n int) (*Domain, []outcome, *[]int, func(seq uint64, status uint64)) {
+		d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, SegmentBytes: 1 << 12})
+		t.Cleanup(func() { d.Close() })
+		ep0 := d.Endpoint(0)
+		res := make([]outcome, n+2)
+		var order []int
+		for i := range n {
+			done := func(err error) {
+				res[i].calls++
+				res[i].err = err
+				order = append(order, i)
+			}
+			if i%2 == 0 {
+				ep0.PutRemote(1, 0, make([]byte, 8), nil, done)
+			} else {
+				ep0.AmoRemote(1, 8, AmoAdd, 1, 0, nil, done)
+			}
+		}
+		reply := func(seq, status uint64) {
+			ep0.dispatch(&Msg{Handler: hPutAck, From: 1, A0: seq, A3: status})
+		}
+		return d, res[:n], &order, reply
+	}
+	// check asserts that the ops in wantOrder completed in that order, each
+	// once with want[i] (nil when absent), that no other op completed, and
+	// PendingOps and BadCookieDrops.
+	check := func(t *testing.T, d *Domain, res []outcome, order []int, want map[int]error, wantOrder []int, pending int, drops int64) {
+		t.Helper()
+		for i, r := range res {
+			if !slices.Contains(wantOrder, i) {
+				if r.calls != 0 {
+					t.Errorf("op %d: done ran %d times, want still pending", i, r.calls)
+				}
+				continue
+			}
+			if r.calls != 1 || !errors.Is(r.err, want[i]) {
+				t.Errorf("op %d: done ran %d times with %v, want once with %v", i, r.calls, r.err, want[i])
+			}
+		}
+		if !slices.Equal(order, wantOrder) {
+			t.Errorf("completion order %v, want %v", order, wantOrder)
+		}
+		if n := d.Endpoint(0).PendingOps(); n != pending {
+			t.Errorf("PendingOps = %d, want %d", n, pending)
+		}
+		if n := d.Stats().BadCookieDrops; n != drops {
+			t.Errorf("BadCookieDrops = %d, want %d", n, drops)
+		}
+	}
+	// Sequence numbers start at 1: op i carries i+1.
+
+	t.Run("nack-mid-run", func(t *testing.T) {
+		d, res, order, reply := world(t, 5)
+		reply(3, ackBadAddr)
+		reply(5, 0)
+		check(t, d, res, *order, map[int]error{2: ErrBadAddress}, []int{2, 0, 1, 3, 4}, 0, 0)
+	})
+	t.Run("cumulative-covers-nack", func(t *testing.T) {
+		// The cumulative reply names the nacked entry itself, then a
+		// second nack for it arrives: it fails once, and the second nack
+		// is counted.
+		d, res, order, reply := world(t, 5)
+		reply(3, ackBadAddr)
+		reply(3, 0)
+		reply(3, ackBadAddr)
+		reply(5, 0)
+		check(t, d, res, *order, map[int]error{2: ErrBadAddress}, []int{2, 0, 1, 3, 4}, 0, 1)
+	})
+	t.Run("stale-and-forged", func(t *testing.T) {
+		d, res, order, reply := world(t, 3)
+		reply(2, 0)
+		reply(1, 0) // below head
+		reply(4, 0) // at the tail: never assigned
+		reply(1<<40, ackBadAddr)
+		check(t, d, res, *order, nil, []int{0, 1}, 1, 3)
+		reply(3, 0)
+		check(t, d, res, *order, nil, []int{0, 1, 2}, 0, 3)
+	})
+	t.Run("death-sweep-readmission-stale", func(t *testing.T) {
+		d, res, order, reply := world(t, 3)
+		ep0 := d.Endpoint(0)
+		reply(1, 0)
+		ep0.host.deliver(1, event{kind: evBye, inc: d.inc})
+		ep0.Poll()
+		ep0.host.deliver(1, event{kind: evJoin, inc: d.inc + 1})
+		if ep0.PeerDown(1) {
+			t.Fatal("rank 1 not readmitted")
+		}
+		// Two ops toward the readmitted incarnation, then the dead one's
+		// reply to the swept ops: below head, counted, completes nothing.
+		var after []error
+		for range 2 {
+			ep0.PutRemote(1, 0, make([]byte, 8), nil, func(err error) { after = append(after, err) })
+		}
+		reply(3, 0)
+		reply(2, ackBadAddr)
+		if len(after) != 0 {
+			t.Fatalf("a stale reply completed %d ops registered after readmission", len(after))
+		}
+		check(t, d, res, *order, map[int]error{1: ErrPeerUnreachable, 2: ErrPeerUnreachable}, []int{0, 1, 2}, 2, 2)
+		reply(5, 0)
+		if len(after) != 2 || after[0] != nil || after[1] != nil {
+			t.Errorf("ops after readmission resolved with %v, want two nil", after)
+		}
+		if n := ep0.PendingOps(); n != 0 {
+			t.Errorf("PendingOps = %d, want 0", n)
+		}
+	})
 }

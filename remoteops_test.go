@@ -11,9 +11,10 @@ import (
 // on a process pair (two UDP worlds in this process). Every remote op
 // registers the pipeline's cached done callback plus the destination its
 // reply lands in, so the only allocation left is a future's cell: at most
-// 1 per op with a future, 0 with a promise or a continuation. The value
-// forms (Rget, FetchAdd) have no continuation form; their promise is
-// allocated before the measurement, as a caller would hold it.
+// 1 per op with a future, 0 with a promise or a continuation — and 0 per
+// batch of 512 xors under one promise. The value forms (Rget, FetchAdd)
+// have no continuation form; their promise is allocated before the
+// measurement, as a caller would hold it.
 //
 // The counts are process-wide, so they include the target's handling and
 // the socket reader goroutines. AllocsPerRun runs with GOMAXPROCS 1, so
@@ -136,6 +137,14 @@ func remoteOpAllocs(t *testing.T, r *gupcxx.Rank) {
 		{"f64add/future", 1, func() { fd.Add(fdst, 0.5).Wait() }},
 		{"f64add/promise", 0, func() { fd.Add(fdst, 0.5, prx...); awaitPromise() }},
 		{"f64add/continuation", 0, func() { fd.Add(fdst, 0.5, cont...); awaitCont() }},
+		// The xproc_gups shape: a batch of 512 non-fetching xors under one
+		// promise, completed by cumulative replies. The bound is per batch.
+		{"xor512/promise", 0, func() {
+			for i := range 512 {
+				ad.Xor(dst, uint64(i), prx...)
+			}
+			awaitPromise()
+		}},
 	}
 	for _, c := range cases {
 		for i := 0; i < warm; i++ {
