@@ -172,6 +172,70 @@ func TestWaitInsideCallback(t *testing.T) {
 	}
 }
 
+// TestSymmetricWaitInsideCallback: both ranks wait, inside a put's
+// completion callback, on a further put toward each other. Each rank
+// applies the other's second put in a dispatch round nested in its own
+// callback, and each wait ends only if that nested round answers it.
+func TestSymmetricWaitInsideCallback(t *testing.T) {
+	for _, c := range []gupcxx.Conduit{gupcxx.SIM, gupcxx.UDP} {
+		t.Run(c.String(), func(t *testing.T) {
+			cfg := gupcxx.Config{Ranks: 2, Conduit: c, SegmentBytes: 1 << 14}
+			err := gupcxx.Launch(cfg, func(r *gupcxx.Rank) {
+				a, b := gupcxx.New[int64](r), gupcxx.New[int64](r)
+				as, bs := gupcxx.ExchangePtr(r, a), gupcxx.ExchangePtr(r, b)
+				peer := 1 - r.Me()
+				r.Barrier()
+				done := false
+				gupcxx.Rput(r, 1, as[peer]).Op.Then(func() {
+					gupcxx.Rput(r, 2, bs[peer]).Wait()
+					done = true
+				})
+				for !done {
+					r.Progress()
+				}
+				r.Barrier()
+				if *a.Local(r) != 1 || *b.Local(r) != 2 {
+					t.Errorf("rank %d holds %d, %d, want 1, 2", r.Me(), *a.Local(r), *b.Local(r))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestSymmetricRPCBodiesWait: each rank puts to the other without
+// waiting, then sends it an RPC whose body blocks on a put back to the
+// sender. The round that runs a body may still hold the sender's first
+// put behind the RPC; the body's nested rounds dispatch it in arrival
+// order and answer. Both RPCs complete and every put lands.
+func TestSymmetricRPCBodiesWait(t *testing.T) {
+	for _, c := range []gupcxx.Conduit{gupcxx.SIM, gupcxx.UDP} {
+		t.Run(c.String(), func(t *testing.T) {
+			cfg := gupcxx.Config{Ranks: 2, Conduit: c, SegmentBytes: 1 << 14}
+			err := gupcxx.Launch(cfg, func(r *gupcxx.Rank) {
+				a, b := gupcxx.New[int64](r), gupcxx.New[int64](r)
+				as, bs := gupcxx.ExchangePtr(r, a), gupcxx.ExchangePtr(r, b)
+				peer := 1 - r.Me()
+				r.Barrier()
+				first := gupcxx.Rput(r, 1, as[peer])
+				gupcxx.RPC(r, peer, func(tr *gupcxx.Rank) {
+					gupcxx.Rput(tr, 2, bs[1-tr.Me()]).Wait()
+				}).Wait()
+				first.Wait()
+				r.Barrier()
+				if *a.Local(r) != 1 || *b.Local(r) != 2 {
+					t.Errorf("rank %d holds %d, %d, want 1, 2", r.Me(), *a.Local(r), *b.Local(r))
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
 // TestWorldStatsAggregation: the aggregate counters reflect the cost
 // model across all ranks.
 func TestWorldStatsAggregation(t *testing.T) {
