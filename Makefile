@@ -87,10 +87,12 @@ test-loss:
 # message dispatched once in order, payloads isolated), and the
 # value-less ops' cumulative reply (one nack and one reply per round,
 # every op completed once, in order; and from a round nested in a
-# callback or RPC body, so two ranks blocked on each other complete). Tests that arm an explicit
+# callback or RPC body, so two ranks blocked on each other complete), and
+# the one-reader rule (a waiting rank reads its own socket; a computing
+# one still hears its peer through the ticker). Tests that arm an explicit
 # FaultConfig keep their deterministic faults; every other UDP domain
 # inherits the preset from the environment.
-FAULT_TESTS = 'TestPeerKilledMidRun|TestBarrierAbortsOnPeerDeath|TestWireRPCHandlerPanicContained|TestClosureRPCPanicContained|TestOpDeadlineOnSlowWire|TestRPCWireUnregisteredFails|TestRetransmitExhaustionMarksPeerDown|TestHeartbeat|TestBarrierShipsLastToken|TestCloseShipsStagedSends|TestStagedSendShipsWithoutProgress|TestRoundTripAckRidesNextRequest|TestFrameDelivery|TestRPCWireArgsAppendIsolated|TestCumulativeReply|TestNestedRoundsReplyToEachOther|TestSymmetricWaitInsideCallback|TestSymmetricRPCBodiesWait'
+FAULT_TESTS = 'TestPeerKilledMidRun|TestBarrierAbortsOnPeerDeath|TestWireRPCHandlerPanicContained|TestClosureRPCPanicContained|TestOpDeadlineOnSlowWire|TestRPCWireUnregisteredFails|TestRetransmitExhaustionMarksPeerDown|TestHeartbeat|TestBarrierShipsLastToken|TestCloseShipsStagedSends|TestStagedSendShipsWithoutProgress|TestRoundTripAckRidesNextRequest|TestFrameDelivery|TestRPCWireArgsAppendIsolated|TestCumulativeReply|TestNestedRoundsReplyToEachOther|TestSymmetricWaitInsideCallback|TestSymmetricRPCBodiesWait|TestWaiterReadsOwnSocket|TestComputingRankStillHears'
 test-fault:
 	GUPCXX_UDP_FAULT="drop=0.40,seed=11" \
 		$(GO) test -count 1 -run $(FAULT_TESTS) ./internal/gasnet/ .

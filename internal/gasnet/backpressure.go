@@ -87,10 +87,13 @@ func (r *reliability) admit(from, to int, maxWait time.Duration) error {
 	}
 	r.noteOnset(p, from, to)
 	// Bounded block: wait for a credit, a Down transition, or the bound.
-	// Acks are processed on the socket reader goroutines, so credits free
-	// even though this goroutine is parked — the wait cannot deadlock the
-	// pair against itself. Deadlines use the real clock: this path is
-	// already off the fast path by definition.
+	// The caller is the owner of rank from, and the acks that free credit
+	// arrive on its socket: it waits in that socket (host.wait), stepping
+	// the acks itself, so the wait cannot deadlock the pair against itself
+	// and ends one ack after the credit frees. A Down transition wakes it.
+	// Deadlines use the real clock: this path is already off the fast path
+	// by definition.
+	h := r.d.eps[from].host
 	wait := r.d.cfg.BackpressureWait
 	if maxWait > 0 && maxWait < wait {
 		wait = maxWait
@@ -116,11 +119,12 @@ func (r *reliability) admit(from, to int, maxWait time.Duration) error {
 			return nil
 		}
 		p.mu.Unlock()
-		if time.Now().After(deadline) {
+		left := time.Until(deadline)
+		if left <= 0 {
 			r.d.backpressureFails.Add(1)
 			return &BackpressureError{Peer: to}
 		}
-		time.Sleep(50 * time.Microsecond)
+		h.wait(min(left, parkTimeout))
 		p.mu.Lock()
 	}
 }

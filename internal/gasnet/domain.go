@@ -39,6 +39,7 @@ type Domain struct {
 	coalescedBatches atomic.Int64
 	coalescedMsgs    atomic.Int64
 	tickFlushes      atomic.Int64
+	tickReads        atomic.Int64
 
 	// Batched-syscall instrumentation (see Stats, mmsg_linux.go). Counted
 	// only by the real mmsg path, so the portable fallback's zeros make
@@ -216,11 +217,18 @@ type Stats struct {
 	// send rule's backstop, DESIGN.md §7.3). A rank that polls ships its
 	// own; nonzero means some rank computed with sends staged.
 	TickFlushes int64
+	// TickReads counts datagrams the reliability ticker read off a
+	// socket: a rank's own reads happen when it waits or polls, and the
+	// ticker's drain serves one that does neither for a whole tick
+	// (DESIGN.md §7.1). Low against the datagrams received means the
+	// ranks read their own sockets.
+	TickReads int64
 	// SendmmsgCalls / RecvmmsgCalls count vectorized I/O syscalls issued
 	// by the batched datapath (mmsg_linux.go); SendBatchFrames /
 	// RecvBatchFrames count the datagrams they moved, so frames-per-call
 	// is derivable; the HighWater fields record the largest single call
-	// each way. All six stay zero on the sequential fallback path
+	// each way. A non-blocking read that finds nothing queued moves no
+	// datagram and is not counted. All six stay zero on the sequential fallback path
 	// (non-Linux), making the active datapath — and the syscall
 	// amortization itself — assertable: a coalesced burst of N
 	// frames to distinct destinations is N datagrams but one
@@ -382,6 +390,7 @@ func (d *Domain) Stats() Stats {
 		CoalescedBatches:   d.coalescedBatches.Load(),
 		CoalescedMsgs:      d.coalescedMsgs.Load(),
 		TickFlushes:        d.tickFlushes.Load(),
+		TickReads:          d.tickReads.Load(),
 		SendmmsgCalls:      d.sendmmsgCalls.Load(),
 		RecvmmsgCalls:      d.recvmmsgCalls.Load(),
 		SendBatchFrames:    d.sendBatchFrames.Load(),
@@ -741,15 +750,19 @@ func (ep *Endpoint) Send(to int, m Msg) {
 			m.Handler, to))
 	}
 	dst := ep.dom.eps[to]
-	if ep.dom.cfg.Conduit == UDP && to != ep.rank {
-		// A cross-rank closure message in an in-address-space UDP world:
-		// deliverable through shared memory, but the run is then not
-		// exercising the wire it claims to. Count it, and announce the
-		// first one on the event bus so /debug/gupcxx shows the
-		// short-circuit.
-		if ep.dom.inMemFallbacks.Add(1) == 1 {
+	if ep.dom.cfg.Conduit == UDP {
+		// A closure message on the UDP conduit: a self-send, or a
+		// cross-rank one in an in-address-space world (every rank on one
+		// node), handed over in memory. The cross-rank one is deliverable
+		// through shared memory, but the run is then not exercising the
+		// wire it claims to. Count it, and announce the first one on the
+		// event bus so /debug/gupcxx shows the short-circuit.
+		if to != ep.rank && ep.dom.inMemFallbacks.Add(1) == 1 {
 			ep.dom.emit(obs.EvInMemFallback, ep.rank, to, int64(m.Handler), 0)
 		}
+		dst.inbox.push(m)
+		dst.host.wake() // the owner may be waiting in its socket
+		return
 	}
 	if ep.node == dst.node {
 		dst.inbox.push(m) // buffer reference (if any) travels with m
@@ -956,11 +969,17 @@ func (ep *Endpoint) PollInternal() int {
 	return n
 }
 
-// drain takes the inbox's deliverable messages as rest. The list lives in
+// drain takes the inbox's deliverable messages as rest. A socket-fed
+// endpoint whose inbox is empty first reads what its socket holds,
+// without blocking, so a loop that polls and never waits still hears its
+// peers. The list lives in
 // the inbox's reused scratch buffer, so a nested round drains past the end
 // of the enclosing round's list (drainNested) and returns the scratch view
 // for endRound to restore; an outermost round returns nil.
 func (ep *Endpoint) drain() (outer []Msg) {
+	if h := ep.host; h != nil && ep.inbox.empty() {
+		h.pollRead()
+	}
 	if ep.depth > 1 {
 		return ep.drainNested()
 	}
@@ -1081,14 +1100,13 @@ const idleSpin = 128
 // Idle relinquishes the CPU after an idle progress step; the runtime
 // installs it as the progress engine's parker. The policy follows from
 // what delivers this endpoint's messages. A socket-fed endpoint (one with
-// a host, the UDP conduit) parks at once: its messages are pushed by a
-// reader goroutine that Go's netpoller makes runnable only when no other
-// goroutine is, so a yield spin holds off the very reply it waits for,
-// and no reply can arrive sooner than a loopback round trip anyway. An
+// a host, the UDP conduit) waits at once, in its own socket (Park): its
+// messages arrive there, no reply can come sooner than a loopback round
+// trip, and a yield spin would only take the CPU the peer needs. An
 // in-memory endpoint's messages are pushed by other ranks' goroutines,
 // which a yield lets run: it spins idleSpin-1 yields, then parks. A Poll
 // that dispatches anything resets the streak. A socket-fed endpoint ships
-// its staged sends before it parks — whatever ran since the last Poll
+// its staged sends before it waits — whatever ran since the last Poll
 // (a continuation, a callback) may have sent the very message the wait
 // depends on — and then every ack still pending, the lazy ones included:
 // a rank with nothing to do has no next frame for them to ride on.
@@ -1109,8 +1127,14 @@ func (ep *Endpoint) Idle() {
 // its wait policy decides to stop yielding, after shipping the staged
 // sends; a wait loop that wants to block regardless may call it directly
 // after an idle Poll, which shipped them. Park itself ships nothing, so
-// a caller that sent since its last Poll calls Flush first. Spurious
-// returns are expected; the caller re-checks its condition.
+// a caller that sent since its last Poll calls Flush first. A socket-fed
+// endpoint's owner is the reader of its own socket while it parks: it
+// blocks in the socket's read, steps what arrives through the
+// reliability layer into its inbox, and returns — no other goroutine
+// reads the datagram and wakes it (host.wait). A wake from another
+// goroutine (a peer's state change, an in-memory hand-off) cuts the wait
+// short. Spurious returns are expected; the caller re-checks its
+// condition.
 func (ep *Endpoint) Park() {
 	if !ep.inbox.empty() {
 		// Messages exist but were not deliverable (SIM wire latency):
@@ -1122,6 +1146,16 @@ func (ep *Endpoint) Park() {
 	// bounds the cached clock's staleness for SIM release stamping even
 	// when every rank is idle.
 	clockRefresh()
+	if h := ep.host; h != nil {
+		h.wait(parkTimeout)
+		return
+	}
+	ep.parkOnWake()
+}
+
+// parkOnWake blocks until a notify or parkTimeout: Park's wait on the
+// in-memory conduits.
+func (ep *Endpoint) parkOnWake() {
 	if ep.parkTimer == nil {
 		ep.parkTimer = time.NewTimer(parkTimeout)
 	} else {

@@ -38,6 +38,14 @@ func (c isolatedConn) ReadBatch(views [][]byte, sizes []int) (int, error) {
 	}
 }
 
+func (c isolatedConn) ReadBatchNow(views [][]byte, sizes []int) (int, error) {
+	for {
+		if n, err := c.seqConn.ReadBatchNow(views, sizes); n == 0 || err != nil {
+			return 0, err
+		}
+	}
+}
+
 // FuzzDecodeMsg: arbitrary datagrams must either decode or error, never
 // panic — the UDP conduit's reader trusts decodeMsg with kernel-delivered
 // bytes.

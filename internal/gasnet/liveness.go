@@ -109,7 +109,7 @@ func (h *host) transition(p *peer, to int, ev event) effects {
 		d.emit(n.kind, h.rank, to, n.a, n.b)
 	}
 	if fx.do&(fxDeath|fxRearm|fxReset) != 0 {
-		h.ep.notify()
+		h.wake()
 	}
 	return fx
 }

@@ -40,8 +40,8 @@ type mmsghdr struct {
 // datagrams per syscall. The embedded UDPConn still serves the
 // single-frame path (WriteToUDPAddrPort). Write scratch and state are
 // mutex-guarded — the rank goroutine, the retransmit sweep, and heartbeats
-// share the send path — while read scratch and state are owned by the
-// socket's single reader goroutine.
+// share the send path — while read scratch and state belong to the
+// socket's one reader of the moment, the holder of its host's read lock.
 //
 // The RawConn callbacks are bound once, as method values whose per-call
 // state lives in these fields: a closure built per call would allocate
@@ -66,6 +66,9 @@ type mmsgConn struct {
 	rgot  int   // datagrams received
 	rerr  error // a hard receive error
 	read  func(fd uintptr) bool
+	// readNow is recvmmsg for RawConn.Control, which neither waits nor
+	// looks at the read deadline.
+	readNow func(fd uintptr)
 }
 
 // newBatchConn wraps conn in the vectorized adapter, or the sequential
@@ -77,6 +80,7 @@ func newBatchConn(conn *net.UDPConn, d *Domain) batchConn {
 	}
 	c := &mmsgConn{UDPConn: conn, rc: rc, d: d}
 	c.write, c.read = c.sendmmsg, c.recvmmsg
+	c.readNow = func(fd uintptr) { c.recvmmsg(fd) }
 	return c
 }
 
@@ -162,8 +166,19 @@ func (c *mmsgConn) sendmmsg(fd uintptr) bool {
 
 // ReadBatch fills views with up to len(views) queued datagrams in one
 // recvmmsg, blocking (parked on the netpoller) until at least one is
-// available.
+// available or the read deadline passes.
 func (c *mmsgConn) ReadBatch(views [][]byte, sizes []int) (int, error) {
+	return c.recv(views, sizes, true)
+}
+
+// ReadBatchNow is one recvmmsg of what is queued, without waiting.
+func (c *mmsgConn) ReadBatchNow(views [][]byte, sizes []int) (int, error) {
+	return c.recv(views, sizes, false)
+}
+
+// recv is ReadBatch (block) and ReadBatchNow. Only a call that moved
+// datagrams is counted.
+func (c *mmsgConn) recv(views [][]byte, sizes []int, block bool) (int, error) {
 	n := len(views)
 	if n == 0 {
 		return 0, nil
@@ -181,7 +196,12 @@ func (c *mmsgConn) ReadBatch(views [][]byte, sizes []int) (int, error) {
 		hdrs[i].hdr.Iovlen = 1
 	}
 	c.rn, c.rgot, c.rerr = n, 0, nil
-	err := c.rc.Read(c.read)
+	var err error
+	if block {
+		err = c.rc.Read(c.read)
+	} else {
+		err = c.rc.Control(c.readNow)
+	}
 	runtime.KeepAlive(views)
 	if c.rerr != nil {
 		return 0, c.rerr
@@ -190,6 +210,9 @@ func (c *mmsgConn) ReadBatch(views [][]byte, sizes []int) (int, error) {
 		return 0, err
 	}
 	got := c.rgot
+	if got == 0 {
+		return 0, nil
+	}
 	for i := 0; i < got; i++ {
 		sizes[i] = int(hdrs[i].n)
 	}
@@ -199,9 +222,9 @@ func (c *mmsgConn) ReadBatch(views [][]byte, sizes []int) (int, error) {
 	return got, nil
 }
 
-// recvmmsg is ReadBatch's RawConn callback: it receives into the first
-// c.rn headers, reporting false to park until the socket is readable.
-// Reader goroutine only.
+// recvmmsg is recv's RawConn callback: it receives into the first c.rn
+// headers, reporting false to park until the socket is readable (the
+// non-blocking read ignores the report: nothing queued reads 0).
 func (c *mmsgConn) recvmmsg(fd uintptr) bool {
 	for {
 		r, _, errno := syscall.Syscall6(sysRECVMMSG, fd,

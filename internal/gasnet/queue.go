@@ -8,9 +8,9 @@ import (
 )
 
 // amQueue is a multi-producer single-consumer queue of inbound active
-// messages for one endpoint. Producers are any rank's goroutine (plus the
-// UDP conduit's reader goroutine); the sole consumer is the owning rank's
-// progress engine.
+// messages for one endpoint. Producers are any rank's goroutine (plus, on
+// the UDP conduit, whichever goroutine reads the socket); the sole
+// consumer is the owning rank's progress engine.
 //
 // The fast path is a bounded lock-free ring (ring.go): a push costs one CAS
 // and two stores, no mutex, no allocation, no clock read. When the ring is

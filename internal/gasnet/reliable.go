@@ -3,7 +3,6 @@ package gasnet
 import (
 	"encoding/binary"
 	"fmt"
-	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -147,8 +146,8 @@ const (
 // record behind one mutex: what it believes about the peer's liveness and
 // identity (lc, stepped only by host.transition — liveness.go), and both
 // sequenced streams between them (stepped only by host.stepStreams). The
-// mutex is taken by the local rank's send path, by the reader goroutine of
-// local's socket, and by the ticker. "Is the peer down" has one source of
+// mutex is taken by the local rank's send path, by the reader of local's
+// socket (the owner or the ticker, host.readSocket), and by the ticker. "Is the peer down" has one source of
 // truth, lc.state: while it reads peerDown, trySeal drops new sends (no new
 // sequence numbers, no new gaps), the ticker retransmits nothing, and
 // window-blocked senders drain out.
@@ -254,9 +253,9 @@ func parseRelHeader(b []byte) (from uint16, inc, seq, ack uint32, err error) {
 }
 
 // seal is trySeal that blocks while the in-flight congestion window is
-// full — but the block is liveness-aware: acks arrive on the socket reader
-// goroutine (so credit frees without this goroutine running), and a peer
-// declared Down mid-block is re-checked every wakeup, so the sender drains
+// full — but the block is liveness-aware: the owner waits in its own
+// socket (host.wait), where the acks that free credit arrive, and a peer
+// declared Down mid-block wakes it and is re-checked, so the sender drains
 // out promptly instead of wedging against a peer that will never ack.
 // Admission-controlled callers (AdmitSend) normally reserve credit before
 // reaching here, so this block is the backstop, not the policy. Before
@@ -265,22 +264,14 @@ func parseRelHeader(b []byte) (from uint16, inc, seq, ack uint32, err error) {
 // It reports false for a dropped frame: racing shutdown, or a
 // declared-dead destination (the op pipeline fails down-peer operations
 // with ErrPeerUnreachable; stalling the sender here would deadlock it
-// against a peer that will never ack).
+// against a peer that will never ack). Owner goroutine only.
 func (r *reliability) seal(h *host, to int, wb *wireBuf) bool {
-	for spin := 0; ; spin++ {
+	for {
 		if ok, full := r.trySeal(h, to, wb); ok || !full {
 			return ok
 		}
 		h.writeStaged()
-		// Momentary fullness resolves within an ack round trip; yield a
-		// few times before escalating to real sleeps so a blocked sender
-		// costs no CPU while still observing a Down transition within a
-		// sleep quantum.
-		if spin < 4 {
-			runtime.Gosched()
-		} else {
-			time.Sleep(50 * time.Microsecond)
-		}
+		h.wait(parkTimeout)
 	}
 }
 
@@ -329,9 +320,9 @@ func (r *reliability) trySeal(h *host, to int, wb *wireBuf) (ok, full bool) {
 // receive processes one sequenced frame addressed to ep, taking ownership
 // of wb: the ack half completes our own send stream toward the frame's
 // sender, the seq half delivers, buffers, or drops the inner frame. It
-// runs on ep's socket reader goroutine, so the retransmissions an ack
-// reveals leave from here, one round trip after the loss, not a timer
-// later.
+// runs on whichever goroutine reads ep's socket (host.readSocket) — the
+// owner, or the ticker — so the retransmissions an ack reveals leave from
+// here, one round trip after the loss, not a timer later.
 func (r *reliability) receive(ep *Endpoint, wb *wireBuf) {
 	d := r.d
 	from, inc, seq, ack, err := parseRelHeader(wb.b)
@@ -421,9 +412,9 @@ func (h *host) stepStreams(p *peer, to int, ev streamEvent, now int64) streamFx 
 		// parked waiting for exactly this: World.drainWire waits until
 		// nothing it sent is in flight before it closes, and a window-blocked
 		// sender waits for credit. Wake it now rather than at the park
-		// timeout. (notify is a coalescing non-blocking send; safe under
-		// p.mu.)
-		ep.notify()
+		// timeout, unless it read the ack itself. (A wake is a coalescing
+		// non-blocking send and a deadline store; safe under p.mu.)
+		h.wakeOwner()
 	}
 	return fx
 }
@@ -532,8 +523,8 @@ func (r *reliability) sendAck(h *host, to int, ack uint32, sack uint64) {
 }
 
 // run is the ticker goroutine: it keeps the cached clock fresh and makes
-// one pass over every hosted rank's staged sends (host.backstop) and peer
-// row per tick.
+// one pass over every hosted rank's socket (host.tickRead), staged sends
+// (host.backstop) and peer row per tick.
 func (r *reliability) run() {
 	defer close(r.done)
 	t := time.NewTicker(relTickInterval)
@@ -562,6 +553,9 @@ func (r *reliability) tick(now int64) {
 	}
 	joining := false
 	for _, h := range r.d.udp.hosts {
+		// Read first: the acks queued since the owner last read are what
+		// the retransmission timer below would otherwise act without.
+		h.tickRead()
 		h.backstop(now)
 		for to := range h.peers {
 			if r.tickPeer(h, to, now, round) {
@@ -643,12 +637,21 @@ func (r *reliability) shutdown() {
 	<-r.done
 }
 
-// drainState releases every buffer still held by the coalescers,
-// retransmission queues and reorder buffers. Called after the ticker and
-// the socket readers have stopped, so no concurrent access remains.
+// drainState releases every buffer still held by the coalescers, the read
+// slots, retransmission queues and reorder buffers. Called after the
+// ticker has stopped and the sockets are closed, so no concurrent access
+// remains.
 func (r *reliability) drainState() {
 	for _, h := range r.d.udp.hosts {
 		h.dropStaged()
+		h.rmu.Lock()
+		for i, wb := range h.rbufs {
+			if wb != nil {
+				wb.release()
+				h.rbufs[i] = nil
+			}
+		}
+		h.rmu.Unlock()
 		for i := range h.peers {
 			p := &h.peers[i]
 			p.mu.Lock()

@@ -7,8 +7,10 @@ import (
 	"log"
 	"net"
 	"net/netip"
+	"os"
 	"sync"
 	"sync/atomic"
+	"time"
 )
 
 // The UDP conduit carries active messages over real UDP datagrams on the
@@ -40,6 +42,12 @@ import (
 // validates a delivered frame and pushes it whole, as one inbox entry
 // holding the datagram's pooled buffer; the owner decodes its messages in
 // place, in wire order, when it polls.
+//
+// A socket has no reader goroutine. Whoever holds the host's read lock
+// (host.rmu) reads it: the owner while it waits (Park, a credit wait), a
+// progress call whose inbox is empty, or the reliability ticker's
+// non-blocking drain, which keeps a rank that computes without progress
+// hearing its acks, heartbeats and probes (DESIGN.md §7.1).
 //
 // The receive path never trusts the kernel-delivered bytes: truncated or
 // corrupt frames of any kind are counted (Stats.DecodeErrors) and dropped,
@@ -73,11 +81,16 @@ const byeFrameLen = 7
 // message adds a 4-byte length prefix on top of its encoding.
 const batchHeaderLen = 1 + 2
 
-// recvBatchSize is how many datagrams one reader wakeup drains in a
+// recvBatchSize is how many datagrams one socket read drains in a
 // single recvmmsg (each into its own pooled buffer). It bounds the
-// pooled memory a parked reader pins at recvBatchSize × bufClassLarge
-// per socket.
+// pooled memory a socket's read slots pin at recvBatchSize ×
+// bufClassLarge.
 const recvBatchSize = 8
+
+// tickDrainBatches bounds the reads of one ticker drain, so a peer that
+// floods the socket cannot hold the ticker, and with it the read lock,
+// past its tick.
+const tickDrainBatches = relWindow / recvBatchSize
 
 // batchFrame is one staged datagram in a vectorized send: the wire
 // bytes, the destination address, and the pooled buffer owning the bytes
@@ -90,18 +103,22 @@ type batchFrame struct {
 	wb   *wireBuf
 }
 
-// batchConn extends the send path's packetConn with the vectorized read
-// the conduit's reader goroutines use. Constructed per socket by
-// newBatchConn: sendmmsg/recvmmsg on capable Linux platforms, the
-// sequential seqConn elsewhere. The fault shim wraps only the write side
-// — faults are send-side injection, so the reader always consumes the
-// unwrapped batchConn.
+// batchConn extends the send path's packetConn with the vectorized reads
+// of host.readSocket. Constructed per socket by newBatchConn:
+// sendmmsg/recvmmsg on capable Linux platforms, the sequential seqConn
+// elsewhere. The fault shim wraps only the write side — faults are
+// send-side injection, so reads always consume the unwrapped batchConn.
+// Callers serialize reads (host.rmu).
 type batchConn interface {
 	packetConn
 	// ReadBatch fills views with up to len(views) datagrams, recording
 	// each datagram's byte count in sizes, and returns how many arrived.
-	// It blocks until at least one datagram is available.
+	// It blocks until at least one datagram is available or the socket's
+	// read deadline passes.
 	ReadBatch(views [][]byte, sizes []int) (int, error)
+	// ReadBatchNow is ReadBatch without the wait: it takes only what is
+	// queued, 0 datagrams when nothing is, and ignores the deadline.
+	ReadBatchNow(views [][]byte, sizes []int) (int, error)
 }
 
 // seqConn is the portable batch adapter: one write or read system call
@@ -121,6 +138,15 @@ func (c seqConn) WriteBatch(frames []batchFrame) error {
 func (c seqConn) ReadBatch(views [][]byte, sizes []int) (int, error) {
 	n, _, err := c.ReadFromUDPAddrPort(views[0])
 	if err != nil {
+		return 0, err
+	}
+	sizes[0] = n
+	return 1, nil
+}
+
+func (c seqConn) ReadBatchNow(views [][]byte, sizes []int) (int, error) {
+	n, err := recvNow(c.UDPConn, views[0])
+	if n <= 0 || err != nil {
 		return 0, err
 	}
 	sizes[0] = n
@@ -176,6 +202,29 @@ type host struct {
 	frameLeft int
 	frameFrom int32
 	frameBuf  *wireBuf
+
+	// rmu is the socket's read lock: whoever holds it is the one reader,
+	// so one peer's datagrams are stepped in arrival order (two readers
+	// interleaving them would see gaps that are not there and send
+	// spurious gap acks). The owner takes it to wait in its socket and,
+	// with TryLock, to read what is queued when its inbox is empty; the
+	// ticker only TryLocks. rbufs, rviews and rsizes are the read slots:
+	// recvBatchSize pooled buffers, a consumed one replaced on the next
+	// read. Guarded by rmu.
+	rmu    sync.Mutex
+	rbufs  []*wireBuf
+	rviews [][]byte
+	rsizes []int
+	// waiting is set while the owner is blocked in its socket: a
+	// cross-goroutine wake (host.wake) must then cut the wait short.
+	// ownerReads is set while the owner holds rmu: what it reads wakes
+	// nobody, since it polls next.
+	waiting    atomic.Bool
+	ownerReads atomic.Bool
+	// waited is set when the owner returns from a socket wait and cleared
+	// by its next empty poll, which then skips the non-blocking read: the
+	// wait has just read the socket (host.pollRead). Owner only.
+	waited bool
 }
 
 // udpTransport is the per-domain socket state for the UDP conduit.
@@ -186,7 +235,6 @@ type udpTransport struct {
 	// restarted peer's slot — it bound a fresh socket — while send paths
 	// are concurrently loading it. Access through addrOf/setAddr.
 	addrs []atomic.Pointer[netip.AddrPort]
-	wg    sync.WaitGroup
 
 	// rbufErr records the first SetReadBuffer failure (logged once at
 	// init, surfaced via Domain.RbufErr): without the enlarged kernel
@@ -213,8 +261,8 @@ func (tr *udpTransport) addrOf(to int) netip.AddrPort { return *tr.addrs[to].Loa
 // and again when a restarted peer announces its fresh socket.
 func (tr *udpTransport) setAddr(to int, a netip.AddrPort) { tr.addrs[to].Store(&a) }
 
-// initUDP builds a host for every rank this process hosts, then the
-// reliability ticker, then starts one reader goroutine per hosted socket.
+// initUDP builds a host for every rank this process hosts, then starts
+// the reliability ticker.
 // An in-process world hosts every rank and binds a fresh loopback socket
 // for each; a multiproc world hosts only Self, on the socket the bootstrap
 // exchange (internal/boot) bound before publishing its address, and learns
@@ -280,6 +328,9 @@ func (d *Domain) initUDP(newConn func(*net.UDPConn, *Domain) batchConn) error {
 			send:    newFaultConn(bc, fault, r, d),
 			peers:   make([]peer, n),
 			hbFrame: hbFrameFor(r, d.inc),
+			rbufs:   make([]*wireBuf, recvBatchSize),
+			rviews:  make([][]byte, recvBatchSize),
+			rsizes:  make([]int, recvBatchSize),
 		}
 		h.co.bufs = make([]*wireBuf, n)
 		h.co.counts = make([]int, n)
@@ -300,62 +351,138 @@ func (d *Domain) initUDP(newConn func(*net.UDPConn, *Domain) batchConn) error {
 		tr.close()
 		return err
 	}
-	// Every row is in place before the ticker and the readers start: both
-	// step peer records from their first iteration.
+	// Every row is in place before the ticker starts: it steps peer
+	// records from its first tick.
 	d.rel = newReliability(d, clockRefresh())
 	go d.rel.run()
-	for _, h := range tr.hosts {
-		d.startReader(tr, h.ep, h.read)
-	}
 	return nil
 }
 
-// startReader starts the reader goroutine serving one socket, decoding its
-// datagrams into the owning endpoint's inbox.
-func (d *Domain) startReader(tr *udpTransport, ep *Endpoint, bc batchConn) {
-	tr.wg.Add(1)
-	go func() {
-		defer tr.wg.Done()
-		// One ReadBatch drains up to recvBatchSize queued datagrams per
-		// wakeup, each read straight into its own pooled buffer: the
-		// frame's inbox entry holds the buffer until the owner has
-		// dispatched its messages, so the steady-state receive path
-		// allocates nothing
-		// — and a burst of frames costs one recvmmsg instead of one
-		// recvfrom per datagram.
-		bufs := make([]*wireBuf, recvBatchSize)
-		views := make([][]byte, recvBatchSize)
-		sizes := make([]int, recvBatchSize)
-		for {
-			for i := range bufs {
-				if bufs[i] == nil {
-					bufs[i] = d.arena.get(bufClassLarge)
-					views[i] = bufs[i].b
-				}
-			}
-			n, err := bc.ReadBatch(views, sizes)
-			if err != nil {
-				if errors.Is(err, net.ErrClosed) || tr.isClosed() {
-					for _, wb := range bufs {
-						if wb != nil {
-							wb.release()
-						}
-					}
-					return
-				}
-				// Transient errors on loopback are unexpected but
-				// not fatal; keep serving.
-				continue
-			}
-			for i := 0; i < n; i++ {
-				wb := bufs[i]
-				bufs[i] = nil
-				wb.b = wb.b[:sizes[i]]
-				d.receiveDatagram(ep, wb)
-			}
+// readSocket reads one batch of datagrams from h's socket — blocking
+// until the read deadline when block is set, else only what is queued —
+// and steps each through receiveDatagram, in arrival order. Each is read
+// straight into a pooled buffer that its frame's inbox entry then holds
+// until the owner has dispatched its messages, so the steady-state
+// receive path allocates nothing, and a burst of datagrams costs one
+// recvmmsg. An error (the deadline, a closed socket, a transient failure)
+// reads nothing. Caller holds h.rmu.
+func (h *host) readSocket(block bool) (int, error) {
+	d := h.ep.dom
+	for i, wb := range h.rbufs {
+		if wb == nil {
+			wb = d.arena.get(bufClassLarge)
+			h.rbufs[i], h.rviews[i] = wb, wb.b
 		}
-	}()
+	}
+	var n int
+	var err error
+	if block {
+		n, err = h.read.ReadBatch(h.rviews, h.rsizes)
+	} else {
+		n, err = h.read.ReadBatchNow(h.rviews, h.rsizes)
+	}
+	for i := 0; i < n; i++ {
+		wb := h.rbufs[i]
+		h.rbufs[i] = nil
+		wb.b = wb.b[:h.rsizes[i]]
+		d.receiveDatagram(h.ep, wb)
+	}
+	return n, err
 }
+
+// pollRead is the owner's non-blocking read, made when a progress call
+// finds its inbox empty: one batch of whatever is queued, so a loop that
+// polls and never waits hears its peers at once. The first empty poll
+// after a wait skips it — the wait read the socket a moment ago, and a
+// rank that just found nothing to do is about to wait again, in the
+// socket — and so does one made while the ticker drains the socket.
+func (h *host) pollRead() {
+	if h.waited {
+		h.waited = false
+		return
+	}
+	if !h.rmu.TryLock() {
+		return
+	}
+	h.ownerReads.Store(true)
+	h.readSocket(false)
+	h.ownerReads.Store(false)
+	h.rmu.Unlock()
+}
+
+// tickRead is the ticker's share of reading: a non-blocking drain of h's
+// socket, so a rank that computes without calling progress still hears
+// acks (its window drains), heartbeats (its peers stay Alive) and probes.
+// It skips the drain while the owner holds the socket, which it does
+// for its whole wait. What it reads wakes the owner; Stats.TickReads
+// counts it.
+func (h *host) tickRead() {
+	if !h.rmu.TryLock() {
+		return
+	}
+	total := 0
+	for range tickDrainBatches {
+		n, err := h.readSocket(false)
+		total += n
+		if err != nil || n < recvBatchSize {
+			break
+		}
+	}
+	h.rmu.Unlock()
+	h.ep.dom.tickReads.Add(int64(total))
+}
+
+// wait blocks the owner in its socket until a datagram arrives, another
+// goroutine wakes it (host.wake), or timeout passes, and steps what it
+// read — the one wait of a socket-fed endpoint: Park's, and the credit
+// waits of seal and admit, whose credits arrive as acks on this very
+// socket. A wake token already pending returns at once. On a socket that
+// fails (closed) it waits on the wake channel instead, as Park does on
+// the in-memory conduits.
+func (h *host) wait(timeout time.Duration) {
+	h.rmu.Lock()
+	h.ownerReads.Store(true)
+	h.conn.SetReadDeadline(time.Now().Add(timeout))
+	// Armed before the token check: a wake that misses the token sees
+	// waiting set, and interrupts the read.
+	h.waiting.Store(true)
+	var err error
+	select {
+	case <-h.ep.wake:
+	default:
+		_, err = h.readSocket(true)
+	}
+	h.waiting.Store(false)
+	h.ownerReads.Store(false)
+	h.rmu.Unlock()
+	h.waited = true
+	if err != nil && !errors.Is(err, os.ErrDeadlineExceeded) {
+		h.ep.parkOnWake()
+	}
+}
+
+// wake signals the owner that something arrived or changed (a frame
+// delivered, a credit freed, a peer's state moved) and, if it is blocked
+// in its socket, cuts the wait short by moving the read deadline into the
+// past. Safe from any goroutine.
+func (h *host) wake() {
+	h.ep.notify()
+	if h.waiting.Load() {
+		h.conn.SetReadDeadline(aLongTimeAgo)
+	}
+}
+
+// wakeOwner is wake for a delivery: the owner needs none for what it
+// read itself.
+func (h *host) wakeOwner() {
+	if !h.ownerReads.Load() {
+		h.wake()
+	}
+}
+
+// aLongTimeAgo is a read deadline already past: setting it makes a
+// blocked read return at once.
+var aLongTimeAgo = time.Unix(1, 0)
 
 // receiveDatagram routes one received datagram (whose bytes are wb.b) by
 // its frame tag, taking ownership of wb. Payload travels only inside
@@ -544,7 +671,7 @@ func (d *Domain) deliverParsed(ep *Endpoint, from int, wb *wireBuf, frame []byte
 		return level
 	}
 	ep.inbox.push(Msg{Handler: hFrame, From: int32(from), A0: uint64(n), Payload: frame, buf: wb})
-	ep.notify()
+	ep.host.wakeOwner()
 	return level
 }
 
@@ -922,16 +1049,15 @@ func (ep *Endpoint) EndBurst() {
 	c.mu.Unlock()
 }
 
-// isClosed reports whether close has begun; the reader and batch-write
-// paths use it to distinguish a racing shutdown from a genuine socket
-// error.
+// isClosed reports whether close has begun; the batch-write path uses
+// it to distinguish a racing shutdown from a genuine socket error.
 func (tr *udpTransport) isClosed() bool {
 	tr.mu.Lock()
 	defer tr.mu.Unlock()
 	return tr.closed
 }
 
-// close shuts down the sockets and waits for the reader goroutines.
+// close shuts down the sockets; a read blocked in one returns.
 func (tr *udpTransport) close() {
 	tr.mu.Lock()
 	if tr.closed {
@@ -943,7 +1069,6 @@ func (tr *udpTransport) close() {
 	for _, h := range tr.hosts {
 		h.conn.Close()
 	}
-	tr.wg.Wait()
 }
 
 // sendBye announces this process's graceful departure to every peer it
@@ -967,7 +1092,7 @@ func (d *Domain) sendBye() {
 }
 
 // Close releases conduit resources: the reliability ticker, the UDP
-// sockets and reader goroutines, and any buffers still parked in
+// sockets and their read slots, and any buffers still parked in
 // retransmission or reorder queues. It is idempotent and a no-op for the
 // in-memory conduits. Endpoints must not be driven after Close. Staged
 // sends ship first, then, in a multiproc world, departure is announced to

@@ -107,8 +107,9 @@ func (r *Rank) spinWait(cond func() bool) {
 
 // Serve drives progress like Progress, but relinquishes the CPU when the
 // step finds nothing to do, by the substrate's wait policy: a socket-fed
-// rank parks at once, an in-memory one yields while the idle streak is
-// short and parks once the wait looks long (gasnet.Endpoint.Idle). This
+// rank waits at once in its own socket and reads what arrives itself, an
+// in-memory one yields while the idle streak is short and parks once the
+// wait looks long (gasnet.Endpoint.Idle). This
 // is the right shape for loops whose only job is to answer peers (worker
 // serve loops, notification waits): a hot Progress spin steals the CPU
 // from the very processes it is waiting on when ranks outnumber cores,

@@ -737,7 +737,7 @@ func (w *World) StartScenario(spec string) error {
 }
 
 // Close releases substrate resources (the UDP conduit's sockets and
-// reader goroutines) and tears down the observability surface (metrics
+// reliability ticker) and tears down the observability surface (metrics
 // listener, rate sampler); it is idempotent. Ranks must not be driven
 // after Close. Event subscriptions obtained from SubscribeEvents stay
 // drainable — Close stops the event sources, not the consumers.
