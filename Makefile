@@ -89,10 +89,12 @@ test-loss:
 # every op completed once, in order; and from a round nested in a
 # callback or RPC body, so two ranks blocked on each other complete), and
 # the one-reader rule (a waiting rank reads its own socket; a computing
-# one still hears its peer through the ticker). Tests that arm an explicit
+# one still hears its peer through the ticker), and closures on the wire
+# (closure RPC, remote completion and closure puts ride the sequenced
+# stream by handle; each body runs exactly once). Tests that arm an explicit
 # FaultConfig keep their deterministic faults; every other UDP domain
 # inherits the preset from the environment.
-FAULT_TESTS = 'TestPeerKilledMidRun|TestBarrierAbortsOnPeerDeath|TestWireRPCHandlerPanicContained|TestClosureRPCPanicContained|TestOpDeadlineOnSlowWire|TestRPCWireUnregisteredFails|TestRetransmitExhaustionMarksPeerDown|TestHeartbeat|TestBarrierShipsLastToken|TestCloseShipsStagedSends|TestStagedSendShipsWithoutProgress|TestRoundTripAckRidesNextRequest|TestFrameDelivery|TestRPCWireArgsAppendIsolated|TestCumulativeReply|TestNestedRoundsReplyToEachOther|TestSymmetricWaitInsideCallback|TestSymmetricRPCBodiesWait|TestWaiterReadsOwnSocket|TestComputingRankStillHears'
+FAULT_TESTS = 'TestPeerKilledMidRun|TestBarrierAbortsOnPeerDeath|TestWireRPCHandlerPanicContained|TestClosureRPCPanicContained|TestOpDeadlineOnSlowWire|TestRPCWireUnregisteredFails|TestRetransmitExhaustionMarksPeerDown|TestHeartbeat|TestBarrierShipsLastToken|TestCloseShipsStagedSends|TestStagedSendShipsWithoutProgress|TestRoundTripAckRidesNextRequest|TestFrameDelivery|TestRPCWireArgsAppendIsolated|TestCumulativeReply|TestNestedRoundsReplyToEachOther|TestSymmetricWaitInsideCallback|TestSymmetricRPCBodiesWait|TestWaiterReadsOwnSocket|TestComputingRankStillHears|TestRPCVoidAndValue|TestRemoteCompletionRPC|TestRemoteCompletionRunsOnTarget|TestClosurePutJoinsCumulativeReply|TestUDPClosureFallback'
 test-fault:
 	GUPCXX_UDP_FAULT="drop=0.40,seed=11" \
 		$(GO) test -count 1 -run $(FAULT_TESTS) ./internal/gasnet/ .

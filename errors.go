@@ -50,12 +50,12 @@ var (
 // Go closure to another process: closure RPC (RPC, RPCCall,
 // RPCFireAndForget) and remote completions built from closures
 // (RemoteRPC, RemoteRPCOn) target ranks outside this address space only
-// in wire-encodable form. In a multiproc world such operations fail
-// loudly — eagerly, at initiation — instead of silently short-circuiting
-// through memory the way a single-process UDP world does (counted there
-// as Stats.InMemFallbacks). Use the registered-handler forms (RPCWire,
-// RPCWireContinue, RputNotify) instead: their invocations are data,
-// not code.
+// in wire-encodable form. A single-process UDP world sends such a
+// message over the wire with a handle to the closure, which only that
+// address space can resolve; in a multiproc world the operations fail
+// loudly — eagerly, at initiation. Use the registered-handler forms
+// (RPCWire, RPCWireContinue, RputNotify) instead: their invocations are
+// data, not code.
 var ErrNotWireEncodable = errors.New(
 	"gupcxx: operation carries a closure, which cannot cross process boundaries; use a registered wire handler")
 

@@ -16,7 +16,7 @@ const (
 	hGetReq              // get request: read range, reply with data
 	hGetRep              // get reply: deliver data, complete outstanding op
 	hAmoReq              // atomic request: apply op; a fetching one replies with the old value
-	hAmoRep              // atomic or closure-put reply: deliver old value, complete op
+	hAmoRep              // fetching-atomic reply: deliver old value, complete op
 	hHeldFn              // held remote-completion closure (PollInternal)
 	hFrame               // one received UDP frame: an inbox entry, never a wire message (udp.go)
 
@@ -29,10 +29,11 @@ const (
 
 // Msg is an active message. Internal-protocol messages are fully described
 // by (Handler, A0..A3, Payload) and are round-trippable through the serial
-// wire encoding; Fn is an in-memory extension used for closure-carrying
-// user-level RPC on co-located ranks (a network conduit for separate address
-// spaces would instead require registered handlers, which is exactly what
-// the internal protocol demonstrates).
+// wire encoding. Fn is a closure — a user RPC body, a remote completion —
+// that reaches the receiver within one address space: beside the message
+// in memory, or on the UDP conduit parked under a handle the wire message
+// carries (fntable.go). Separate address spaces need registered handlers
+// instead, which is exactly what the internal protocol demonstrates.
 type Msg struct {
 	Handler uint8
 	From    int32 // sender rank
@@ -41,7 +42,7 @@ type Msg struct {
 	A2      uint64
 	A3      uint64
 	Payload []byte
-	Fn      func(*Endpoint) // closure payload; nil for wire messages
+	Fn      func(*Endpoint) // closure payload; nil for a message a handler id fully describes
 
 	readyAt int64 // SIM conduit release time (0 = immediately deliverable)
 

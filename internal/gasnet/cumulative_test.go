@@ -200,43 +200,63 @@ func cumulativeRounds(t *testing.T, d *Domain, userFirst int, wait func(ep *Endp
 	}
 }
 
-// TestClosurePutKeepsItsOwnReply: on the UDP conduit a put carrying a
-// closure travels in memory while every other request rides the wire, so
-// it can be applied ahead of a wire put sent before it. It therefore
-// completes on a reply of its own: a cumulative reply covering it would
-// also complete the earlier wire put, which the target has not applied.
-// Rank 0 stages a wire put, then sends a closure put; rank 1 applies the
-// closure put (the wire put is still staged at rank 0) and answers it;
-// rank 0's Poll completes the closure put alone.
-func TestClosurePutKeepsItsOwnReply(t *testing.T) {
+// TestClosurePutJoinsCumulativeReply: on the UDP conduit a put carrying a
+// closure rides the sequenced stream like every other request, so it is
+// value-less on every conduit. Rank 0 sends a plain put, a closure put and
+// another plain put to rank 1. While they are in flight PendingOps counts
+// all three, in the completion queue and none in the op table. Rank 1
+// applies them in issue order in one Poll — the closure sees the first
+// put's data and its own, not the third's — and one cumulative reply
+// completes all three, in issue order.
+func TestClosurePutJoinsCumulativeReply(t *testing.T) {
 	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, SegmentBytes: 1 << 12})
 	defer d.Close()
 	ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
+	replies := 0
+	inner := d.handlers[hPutAck]
+	d.handlers[hPutAck] = func(ep *Endpoint, m *Msg) {
+		replies++
+		inner(ep, m)
+	}
 	seg := d.Segment(1)
-	wireOff, _ := seg.Alloc(8)
-	memOff, _ := seg.Alloc(8)
-	var wireErr, memErr []error
-	ran := false
-	ep0.PutRemote(1, wireOff, []byte{1, 1, 1, 1, 1, 1, 1, 1}, nil, func(err error) { wireErr = append(wireErr, err) })
-	ep0.PutRemote(1, memOff, []byte{2, 2, 2, 2, 2, 2, 2, 2}, func(*Endpoint) { ran = true },
-		func(err error) { memErr = append(memErr, err) })
-	if n := ep1.Poll(); n != 1 || !ran {
-		t.Fatalf("rank 1 dispatched %d messages (closure ran: %v), want the closure put alone", n, ran)
+	off, _ := seg.Alloc(24)
+	word := func(i int) uint64 { return *seg.WordAt(off + uint32(8*i)) }
+	var done []int
+	put := func(i int, fn func(*Endpoint)) {
+		data := []byte{byte(i + 1), byte(i + 1), byte(i + 1), byte(i + 1), byte(i + 1), byte(i + 1), byte(i + 1), byte(i + 1)}
+		ep0.PutRemote(1, off+uint32(8*i), data, fn, func(err error) {
+			if err != nil {
+				t.Errorf("put %d: %v", i, err)
+			}
+			done = append(done, i)
+		})
+	}
+	ran := 0
+	var seen [3]uint64
+	put(0, nil)
+	put(1, func(*Endpoint) {
+		ran++
+		seen = [3]uint64{word(0), word(1), word(2)}
+	})
+	put(2, nil)
+	if n, q := ep0.ops.live(), ep0.PendingOps(); n != 0 || q != 3 {
+		t.Fatalf("in flight: %d ops in the op table, PendingOps %d; want 0 and 3", n, q)
+	}
+	ep0.Flush()
+	waitDelivered(t, d, ep1, 0)
+	if n := ep1.Poll(); n != 3 || ran != 1 {
+		t.Fatalf("rank 1 dispatched %d messages and ran the closure %d times, want 3 and once", n, ran)
+	}
+	if seen != [3]uint64{0x0101010101010101, 0x0202020202020202, 0} {
+		t.Errorf("the closure saw words %#x, want the first two puts applied and the third not", seen)
 	}
 	waitDelivered(t, d, ep0, 1)
 	ep0.Poll()
-	if len(memErr) != 1 || memErr[0] != nil {
-		t.Errorf("closure put resolved %v, want once with nil", memErr)
+	if replies != 1 || !slices.Equal(done, []int{0, 1, 2}) {
+		t.Errorf("%d replies completed puts %v, want one reply completing [0 1 2]", replies, done)
 	}
-	if len(wireErr) != 0 || *seg.WordAt(wireOff) != 0 {
-		t.Fatalf("wire put resolved %v with %#x in its word: completed before the target applied it", wireErr, *seg.WordAt(wireOff))
-	}
-	if n := ep0.PendingOps(); n != 1 {
-		t.Errorf("PendingOps = %d, want the wire put's 1", n)
-	}
-	spinBoth(t, d, func() bool { return len(wireErr) > 0 })
-	if len(wireErr) != 1 || wireErr[0] != nil || *seg.WordAt(wireOff) != 0x0101010101010101 {
-		t.Errorf("wire put resolved %v with %#x in its word, want once with nil after landing", wireErr, *seg.WordAt(wireOff))
+	if n := ep0.PendingOps(); n != 0 || word(2) != 0x0303030303030303 {
+		t.Errorf("PendingOps = %d and the third word %#x after the reply", n, word(2))
 	}
 }
 

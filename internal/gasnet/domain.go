@@ -92,15 +92,13 @@ type Domain struct {
 	shedBytes         atomic.Int64
 	shedFrames        atomic.Int64
 
-	// Wire-boundary instrumentation (see Stats): in-memory deliveries that
-	// a UDP world silently short-circuited, wire requests refused for an
-	// out-of-segment address, datagram send syscalls that failed (treated
-	// as loss), and gptr decodes rejected by the runtime layer's bounds
-	// validation (NoteGptrReject).
-	inMemFallbacks atomic.Int64
-	badAddrDrops   atomic.Int64
-	sendErrors     atomic.Int64
-	gptrRejects    atomic.Int64
+	// Wire-boundary instrumentation (see Stats): wire requests refused for
+	// an out-of-segment address, datagram send syscalls that failed
+	// (treated as loss), and gptr decodes rejected by the runtime layer's
+	// bounds validation (NoteGptrReject).
+	badAddrDrops atomic.Int64
+	sendErrors   atomic.Int64
+	gptrRejects  atomic.Int64
 
 	// notifyHook is the runtime layer's put-with-notify dispatcher
 	// (SetNotifyHook): invoked on the receiving rank's goroutine during
@@ -125,6 +123,9 @@ type Domain struct {
 	// the job runs unobserved. Emission points go through emit, which is
 	// nil-safe and non-blocking.
 	bus *obs.Bus
+
+	// fns parks the closures of UDP messages in flight (fntable.go).
+	fns fnTable
 }
 
 // emit publishes one substrate health event. Safe to call from any
@@ -359,10 +360,9 @@ type Stats struct {
 	// repairs them by retransmission.
 	ShedBytes  int64
 	ShedFrames int64
-	// InMemFallbacks counts messages a UDP-conduit world delivered through
-	// the in-memory handoff because they carried a closure the wire cannot
-	// encode. Non-zero means a "UDP" run was not fully exercising the wire
-	// — exactly the silent short-circuit a multiproc world forbids.
+	// InMemFallbacks is always 0: every UDP message crosses the wire,
+	// closures by handle (fntable.go). It stays while the benchmark reads
+	// it.
 	InMemFallbacks int64
 	// BadAddrDrops counts inbound wire requests (put/get/atomic/notify)
 	// refused because their target offset or length fell outside this
@@ -431,10 +431,9 @@ func (d *Domain) Stats() Stats {
 		ShedBytes:         d.shedBytes.Load(),
 		ShedFrames:        d.shedFrames.Load(),
 
-		InMemFallbacks: d.inMemFallbacks.Load(),
-		BadAddrDrops:   d.badAddrDrops.Load(),
-		SendErrors:     d.sendErrors.Load(),
-		GptrRejects:    d.gptrRejects.Load(),
+		BadAddrDrops: d.badAddrDrops.Load(),
+		SendErrors:   d.sendErrors.Load(),
+		GptrRejects:  d.gptrRejects.Load(),
 	}
 	for _, ep := range d.eps {
 		s.RingPushes += ep.inbox.fastPushes.Load()
@@ -542,8 +541,8 @@ func newDomain(cfg Config, newConn func(*net.UDPConn, *Domain) batchConn) (*Doma
 }
 
 // handleHeldFn runs a remote-completion closure PollInternal held for
-// Poll. Only an in-memory message carries a closure: one with this id off
-// the wire has none, and is counted and dropped like an unknown handler.
+// Poll. A message with this id but no closure (one off the wire that named
+// none) is counted and dropped like an unknown handler.
 func handleHeldFn(ep *Endpoint, m *Msg) {
 	if m.Fn == nil {
 		ep.dom.badHandlerDrops.Add(1)
@@ -720,12 +719,12 @@ func (ep *Endpoint) LocalSegment(target int) *Segment {
 // Send delivers an active message to the target rank's endpoint. Co-located
 // targets receive the message immediately (in-memory handoff). Cross-node
 // targets (SIM conduit) receive a copy that was round-tripped through the
-// wire encoding and released only after the configured latency; closure
-// messages (Fn != nil) cannot cross nodes. On the UDP conduit a
-// wire-encodable message is encoded into its destination's staged batch
-// and leaves at this rank's next progress call — Poll, PollInternal,
-// Idle — or at Flush, whichever comes first (DESIGN.md §7.3); a
-// collective's last token or a send before teardown needs Flush.
+// wire encoding and released only after the configured latency. On the
+// UDP conduit every message, self-sends included, is encoded into its
+// destination's staged batch — a closure by handle (fntable.go) — and
+// leaves at this rank's next progress call — Poll, PollInternal, Idle —
+// or at Flush, whichever comes first (DESIGN.md §7.3); a collective's
+// last token or a send before teardown needs Flush.
 // A Msg whose buf field is set (pooled payload staging, rma.go) is
 // consumed by Send: ownership of the buffer reference transfers to the
 // receiver on in-memory delivery, or is released here once the bytes are
@@ -733,37 +732,12 @@ func (ep *Endpoint) LocalSegment(target int) *Segment {
 func (ep *Endpoint) Send(to int, m Msg) {
 	m.From = int32(ep.rank)
 	ep.dom.amSends.Add(1)
-	if ep.dom.cfg.Conduit == UDP && m.Fn == nil {
-		// Wire-encodable message on the UDP conduit: staged for the
-		// kernel, packed with everything else this rank sends to `to`
-		// before its next progress call.
+	if ep.dom.cfg.Conduit == UDP {
 		ep.host.stage(to, &m)
 		m.release()
 		return
 	}
-	if ep.dom.cfg.Multiproc && to != ep.dom.cfg.Self {
-		// Backstop: the runtime layer gates closure-carrying operations
-		// with ErrNotWireEncodable before injection; reaching here means
-		// that gate was bypassed, and there is no process to hand the
-		// closure to.
-		panic(fmt.Sprintf("gasnet: closure message (handler %d) to remote rank %d in a multiproc world",
-			m.Handler, to))
-	}
 	dst := ep.dom.eps[to]
-	if ep.dom.cfg.Conduit == UDP {
-		// A closure message on the UDP conduit: a self-send, or a
-		// cross-rank one in an in-address-space world (every rank on one
-		// node), handed over in memory. The cross-rank one is deliverable
-		// through shared memory, but the run is then not exercising the
-		// wire it claims to. Count it, and announce the first one on the
-		// event bus so /debug/gupcxx shows the short-circuit.
-		if to != ep.rank && ep.dom.inMemFallbacks.Add(1) == 1 {
-			ep.dom.emit(obs.EvInMemFallback, ep.rank, to, int64(m.Handler), 0)
-		}
-		dst.inbox.push(m)
-		dst.host.wake() // the owner may be waiting in its socket
-		return
-	}
 	if ep.node == dst.node {
 		dst.inbox.push(m) // buffer reference (if any) travels with m
 		dst.notify()
@@ -863,14 +837,15 @@ func (ep *Endpoint) dispatch(m *Msg) {
 }
 
 // sweepDown fails the pending operations of every peer whose death
-// generation advanced since the last sweep, with ErrPeerUnreachable, and
-// runs the runtime layer's peer-down hook. The generation comparison —
-// not the current Down state — is what makes the sweep churn-correct: a
-// peer may die and be readmitted between two polls, and the operations in
-// flight against its dead incarnation must still fail even though the
-// peer reads Alive again, while operations registered after readmission
-// (stamped with the newer generation by DownGen) must survive. Owner
-// goroutine only (called from Poll).
+// generation advanced since the last sweep, with ErrPeerUnreachable, frees
+// the closures this rank parked for it, and runs the runtime layer's
+// peer-down hook. The generation comparison — not the current Down
+// state — is what makes the sweep churn-correct: a peer may die and be
+// readmitted between two polls, and the operations in flight against its
+// dead incarnation must still fail even though the peer reads Alive
+// again, while operations registered after readmission (stamped with the
+// newer generation by DownGen) must survive. Owner goroutine only (called
+// from Poll).
 func (ep *Endpoint) sweepDown(h *host) {
 	ep.lvSeen = h.epoch.Load()
 	if ep.deathsSeen == nil {
@@ -882,6 +857,7 @@ func (ep *Endpoint) sweepDown(h *host) {
 			continue
 		}
 		ep.deathsSeen[peer] = cur
+		ep.dom.fns.drop(ep.rank, peer)
 		n := ep.ops.failPeer(int32(peer), cur, ErrPeerUnreachable) +
 			ep.failQueued(peer, cur, ErrPeerUnreachable)
 		ep.dom.downPeerFails.Add(int64(n))
@@ -1132,7 +1108,7 @@ func (ep *Endpoint) Idle() {
 // blocks in the socket's read, steps what arrives through the
 // reliability layer into its inbox, and returns — no other goroutine
 // reads the datagram and wakes it (host.wait). A wake from another
-// goroutine (a peer's state change, an in-memory hand-off) cuts the wait
+// goroutine (a peer's state change, a frame the ticker read) cuts the wait
 // short. Spurious returns are expected; the caller re-checks its
 // condition.
 func (ep *Endpoint) Park() {

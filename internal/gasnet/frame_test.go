@@ -17,7 +17,7 @@ import (
 // holds the other two, in order, each on its own reference to the frame's
 // buffer; the next Poll dispatches them, and the buffer goes back to its
 // arena. A second frame is dispatched whole by one Poll, in wire order.
-// Each frame is one ring push, a message sent with the reserved id hFrame
+// Each frame is one ring push, a wire message with the reserved id hFrame
 // is still one message, and a received frame of user messages costs no
 // allocation.
 //
@@ -142,9 +142,14 @@ func TestFrameDelivery(t *testing.T) {
 			t.Errorf("%d decode errors", after.DecodeErrors-before.DecodeErrors)
 		}
 
-		// A message sent with the reserved id is one message, not a frame:
-		// no handler is registered for it, so it is counted and dropped.
-		ep1.Send(1, Msg{Handler: hFrame, Fn: func(*Endpoint) { t.Error("reserved id ran its closure") }})
+		// A wire message with the reserved id is one message of its frame,
+		// not a frame: no handler is registered for it, so it is counted
+		// and dropped.
+		seq++
+		reserved := Msg{Handler: hFrame, A0: 1}
+		wb = d.arena.get(bufClassLarge)
+		wb.b = append(append(wb.b[:0], seqHdr(0, 1, seq, 0)...), appendBatch(nil, &reserved, 1)...)
+		d.receiveDatagram(ep1, wb)
 		if n := ep1.Poll(); n != 1 || d.Stats().BadHandlerDrops != before.BadHandlerDrops+1 {
 			t.Errorf("Poll of a reserved-id message: %d dispatched, %d dropped; want 1 and 1",
 				n, d.Stats().BadHandlerDrops-before.BadHandlerDrops)

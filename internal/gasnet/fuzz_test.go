@@ -354,9 +354,12 @@ func FuzzDecodeFrameSeq(f *testing.F) {
 // fuzzMsg); the messages ride one sequenced frame from rank 1 that rank 0
 // receives. Whenever fewer than eight ops are pending, rank 0 starts one
 // of each kind (put, atomic, get, fetching atomic) toward rank 1, which
-// never answers: every reply rank 0 sees is forged. The contract is no
-// panic, every done at most once, and PendingOps equal to the ops
-// started minus the ops completed.
+// never answers: every reply rank 0 sees is forged. Two closures rank 1
+// parked for rank 0 stay parked, so a message with the closure flag may
+// name a live handle (eight zero bytes at the end of its payload name
+// the first). The contract is no panic, every done and every closure at
+// most once, and PendingOps equal to the ops started minus the ops
+// completed.
 func FuzzDispatchWire(f *testing.F) {
 	d, err := newDomain(Config{
 		Ranks: 2, Conduit: UDP, Fault: &FaultConfig{}, SegmentBytes: 1 << 12,
@@ -381,6 +384,16 @@ func FuzzDispatchWire(f *testing.F) {
 	}
 	var dst [2][8]byte
 	seq := uint32(0)
+	fnTwice := 0
+	park := func() {
+		ran := false
+		d.fns.park(func(*Endpoint) {
+			if ran {
+				fnTwice++
+			}
+			ran = true
+		}, 1, 0)
+	}
 
 	// Seeds: an hHeldFn message off the wire (it carries no closure), and
 	// a cumulative reply beyond the queue's tail.
@@ -393,6 +406,15 @@ func FuzzDispatchWire(f *testing.F) {
 	f.Add([]byte{0, hPutAck, 3, 0, 0, 0, 0, 1, 0, hPutAck, 3, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, hGetRep, 0, 0, 0, 0, 0, 0, 3, 1, 2, 3, hAmoRep, 1, 0, 0, 0, 0, 0, 0})
 	f.Add([]byte{1, hAmoReq, 1, 2, 1, 1, 5, 0, 0, hPutReq, 4, 1, 0, 0, 0, 0, 4, 9, 9, 9, 9, hGetReq, 2, 1, 0, 0, 8, 0, 0})
+	// Closure messages: a closure put naming the first parked closure, then
+	// the same handle again; a held closure naming the second, under
+	// PollInternal; a flagged reply whose handle is too short; and a
+	// flagged request naming a slot that does not exist.
+	f.Add([]byte{0, fnFlag | hPutReq, 4, 1, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0,
+		fnFlag | hPutReq, 4, 1, 0, 0, 0, 0, 8, 0, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{1, fnFlag | hHeldFn, 0, 0, 0, 0, 0, 0, 8, 1, 0, 0, 0, 0, 0, 0, 0})
+	f.Add([]byte{0, fnFlag | hPutAck, 3, 0, 0, 0, 0, 0, 3, 0, 0, 0})
+	f.Add([]byte{1, fnFlag | hAmoReq, 1, 2, 1, 1, 5, 0, 8, 9, 0, 0, 0, 0, 0, 0, 0})
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if ep0.PendingOps() < 8 {
@@ -400,6 +422,9 @@ func FuzzDispatchWire(f *testing.F) {
 			ep0.AmoRemote(1, 8, AmoAdd, 1, 0, nil, op())
 			ep0.GetRemote(1, 16, 8, dst[0][:], op())
 			ep0.AmoRemote(1, 24, AmoAdd, 1, 0, dst[1][:], op())
+		}
+		for parkedFns(d) < 2 {
+			park()
 		}
 		if len(data) == 0 {
 			return
@@ -429,8 +454,8 @@ func FuzzDispatchWire(f *testing.F) {
 			}
 			ep0.Poll()
 		}
-		if twice != 0 {
-			t.Fatalf("%d completion callbacks ran a second time", twice)
+		if twice != 0 || fnTwice != 0 {
+			t.Fatalf("%d completion callbacks and %d closures ran a second time", twice, fnTwice)
 		}
 		if n := ep0.PendingOps(); n != started-completed {
 			t.Fatalf("PendingOps = %d, want %d started - %d completed", n, started, completed)
@@ -443,7 +468,8 @@ func FuzzDispatchWire(f *testing.F) {
 const fuzzMsgLen = 8
 
 // fuzzMsg decodes the front of b into m and returns the rest. b[0] picks
-// the handler id, modulo HandlerUserBase. b[1] picks A0: within two below
+// the handler id, modulo HandlerUserBase, and whether the message carries
+// a closure handle (its fnFlag bit). b[1] picks A0: within two below
 // and five above head, the cumulative queue's head toward rank 1, for the
 // cumulative reply (hPutAck); below 8, where the op table's cookies live,
 // for any other id. A1 is an 8-aligned offset (b[2]), an atomic op code
@@ -452,10 +478,10 @@ const fuzzMsgLen = 8
 // next b[7] modulo 16 bytes. From is forged too: the frame's sender
 // replaces it.
 func fuzzMsg(m *Msg, b []byte, head uint64) []byte {
-	m.Handler = b[0] % HandlerUserBase
+	m.Handler = b[0]%HandlerUserBase | b[0]&fnFlag
 	m.From = int32(b[7])
 	m.A0 = uint64(b[1] % 8)
-	if m.Handler == hPutAck {
+	if m.Handler&^fnFlag == hPutAck {
 		m.A0 += head - 2
 	}
 	m.A1 = uint64(b[2])<<3 | uint64(b[3]%16)<<32 | uint64(b[4]&1)<<63

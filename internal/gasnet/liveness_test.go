@@ -9,7 +9,9 @@ import (
 // TestRetransmitExhaustionMarksPeerDown: under total loss, the sender's
 // retransmission budget runs out, the destination is declared down, and
 // the pending operation resolves with ErrPeerUnreachable instead of
-// hanging — the liveness machinery's core contract.
+// hanging — the liveness machinery's core contract. A closure put in
+// flight with it fails the same way, its closure never runs, and the
+// death sweep leaves no closure parked for the dead peer.
 func TestRetransmitExhaustionMarksPeerDown(t *testing.T) {
 	d := newTestDomain(t, Config{
 		Ranks: 2, Conduit: UDP, SegmentBytes: 1 << 12,
@@ -23,6 +25,9 @@ func TestRetransmitExhaustionMarksPeerDown(t *testing.T) {
 	hookPeer := -1
 	ep0.SetPeerDownHook(func(peer int, err error) { hookPeer = peer })
 	ep0.PutRemote(1, 0, []byte{1, 2, 3, 4}, nil, func(err error) { gotErr = err })
+	var closureErr error
+	ep0.PutRemote(1, 8, []byte{5, 6, 7, 8}, func(*Endpoint) { t.Error("closure ran at an unreachable peer") },
+		func(err error) { closureErr = err })
 
 	deadline := time.Now().Add(10 * time.Second)
 	for gotErr == nil && time.Now().Before(deadline) {
@@ -40,6 +45,12 @@ func TestRetransmitExhaustionMarksPeerDown(t *testing.T) {
 	}
 	if ep0.PendingOps() != 0 {
 		t.Errorf("%d ops still pending after peer declared down", ep0.PendingOps())
+	}
+	if !errors.Is(closureErr, ErrPeerUnreachable) {
+		t.Errorf("closure put resolved with %v, want ErrPeerUnreachable", closureErr)
+	}
+	if n := parkedFns(d); n != 0 {
+		t.Errorf("%d closures still parked for the dead peer", n)
 	}
 	s := d.Stats()
 	if s.RetransmitExhausted == 0 {

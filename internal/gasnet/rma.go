@@ -20,25 +20,23 @@ var ErrBadAddress = errors.New("gasnet: remote address outside target segment")
 // the initiator. Every operation is a request to the target, and it
 // completes in one of two shapes, by what it brings back:
 //
-//   - A value op — a get, a fetching atomic, or a put carrying a closure —
-//     gets a reply of its own. Where that reply's data lands (a get's
-//     buffer, a fetching atomic's 8-byte old word, nil for the closure put)
-//     and a done(error) callback, usually the pipeline's cached one, go into
-//     one opTable record under a cookie the reply echoes; handleAck lands the
-//     data and runs done. (A closure cannot cross the wire: on the UDP
-//     conduit a closure put travels in memory, outside the per-peer message
-//     order the cumulative reply rests on, so it keeps a reply of its own —
-//     an hAmoRep without a value — on every conduit.)
-//   - A value-less op — a put without a closure, a non-fetching atomic —
-//     brings back only "applied". It appends its done callback to a
-//     per-peer completion queue (cumQueue) and carries the entry's per-peer
-//     sequence number. The target applies it without replying and, at the
-//     end of its dispatch round, sends each peer one cumulative reply (the
-//     hPutAck id): every value-less request from that peer through sequence
-//     number s is applied. handleCumReply completes the queue through s, in
-//     order. A refused request is nacked at once, by its own sequence
-//     number, so in the peer's ordered message stream the nack always comes
-//     before the cumulative reply that covers it.
+//   - A value op — a get or a fetching atomic — gets a reply of its own.
+//     Where that reply's data lands (a get's buffer, a fetching atomic's
+//     8-byte old word) and a done(error) callback, usually the pipeline's
+//     cached one, go into one opTable record under a cookie the reply
+//     echoes; handleAck lands the data and runs done.
+//   - A value-less op — a put, with or without a remote-completion closure
+//     or notify, and a non-fetching atomic — brings back only "applied". It
+//     appends its done callback to a per-peer completion queue (cumQueue)
+//     and carries the entry's per-peer sequence number. The target applies
+//     it without replying and, at the end of its dispatch round, sends each
+//     peer one cumulative reply (the hPutAck id): every value-less request
+//     from that peer through sequence number s is applied. handleCumReply
+//     completes the queue through s, in order. A refused request is nacked
+//     at once, by its own sequence number, so in the peer's ordered message
+//     stream the nack always comes before the cumulative reply that covers
+//     it. A closure put keeps that order on every conduit: on UDP its
+//     closure rides the stream by handle (fntable.go).
 //
 // Registering either kind allocates nothing. Both complete inside the
 // initiator's Poll — remote operations never complete synchronously, which
@@ -101,27 +99,21 @@ func (ep *Endpoint) startValueless(to int, onDone func(error)) (seq uint64, ok b
 // goroutine once the target has acknowledged (operation completion, nil
 // error) or the target is declared unreachable. data is copied at
 // injection time, so the caller may reuse the buffer immediately (source
-// completion is synchronous). A put without remoteFn completes on the
-// target's cumulative reply, one with it on a reply of its own.
+// completion is synchronous). The put is value-less: it completes on the
+// target's cumulative reply.
 func (ep *Endpoint) PutRemote(to int, off uint32, data []byte, remoteFn func(*Endpoint), onDone func(error)) {
-	var a0 uint64
-	var ok bool
-	if remoteFn == nil {
-		a0, ok = ep.startValueless(to, onDone)
-	} else {
-		a0, ok = ep.startOp(hAmoRep, to, nil, onDone)
-	}
+	seq, ok := ep.startValueless(to, onDone)
 	if !ok {
 		return
 	}
 	// Stage the payload in a pooled buffer: Send consumes the reference
-	// (transferring it to the receiver in-memory, or dropping it once the
+	// (transferring it to the receiver in memory, or dropping it once the
 	// bytes are on the wire), so steady-state puts allocate nothing.
 	wb := ep.dom.arena.get(len(data))
 	copy(wb.b, data)
 	ep.Send(to, Msg{
 		Handler: hPutReq,
-		A0:      a0,
+		A0:      seq,
 		A1:      uint64(off),
 		Payload: wb.b,
 		Fn:      remoteFn,
@@ -132,10 +124,11 @@ func (ep *Endpoint) PutRemote(to int, off uint32, data []byte, remoteFn func(*En
 // PutNotifyRemote initiates a put that lands data at off in the target
 // rank's segment and then runs the target's registered notify handler id
 // with args during its user-level progress — the wire-encodable form of
-// remote completion (no closure crosses the wire, so it works across
-// address spaces; see Domain.SetNotifyHook). The request packs the notify
-// id into A2 (biased by one so zero keeps meaning "no notify") and the
-// argument length into A3; args ride behind the data in the payload.
+// remote completion (it names a registered handler, not a closure, so it
+// works across address spaces; see Domain.SetNotifyHook). The request
+// packs the notify id into A2 (biased by one so zero keeps meaning "no
+// notify") and the argument length into A3; args ride behind the data in
+// the payload.
 // onDone follows PutRemote's contract; the op is value-less.
 func (ep *Endpoint) PutNotifyRemote(to int, off uint32, data []byte, id uint32, args []byte, onDone func(error)) {
 	seq, ok := ep.startValueless(to, onDone)
@@ -171,22 +164,8 @@ func splitPut(ep *Endpoint, m *Msg) (data, args []byte, ok bool) {
 		}
 	}
 	ep.dom.badAddrDrops.Add(1)
-	rep := hPutAck
-	if m.Fn != nil {
-		rep = hAmoRep
-	}
-	ep.Send(int(m.From), Msg{Handler: rep, A0: m.A0, A3: ackBadAddr})
+	ep.Send(int(m.From), Msg{Handler: hPutAck, A0: m.A0, A3: ackBadAddr})
 	return nil, nil, false
-}
-
-// putApplied acknowledges an applied put: a closure put with a reply of
-// its own, any other through the next cumulative reply to its sender.
-func (ep *Endpoint) putApplied(m *Msg) {
-	if m.Fn != nil {
-		ep.Send(int(m.From), Msg{Handler: hAmoRep, A0: m.A0})
-		return
-	}
-	ep.noteApplied(m.From, m.A0)
 }
 
 // runNotify dispatches a put's notify (if the request carried one) to the
@@ -211,14 +190,14 @@ func handlePutReq(ep *Endpoint, m *Msg) {
 		m.Fn(ep)
 	}
 	ep.runNotify(m, args)
-	ep.putApplied(m)
+	ep.noteApplied(m.From, m.A0)
 }
 
-// applyPutHeld services a put request that carries user-level work (an
-// in-memory remote-completion closure or a wire notify id) at
-// internal-level progress: it validates and applies the data and
-// acknowledges it now, but returns the user-level work as a closure for
-// the endpoint to hold until the next Poll — remote_cx::as_rpc semantics.
+// applyPutHeld services a put request that carries user-level work (a
+// remote-completion closure or a wire notify id) at internal-level
+// progress: it validates and applies the data and acknowledges it now, but
+// returns the user-level work as a closure for the endpoint to hold until
+// the next Poll — remote_cx::as_rpc semantics.
 // ok is false when the request was refused (nack already sent); fn is nil
 // when the request carried no user-level work after all.
 func (ep *Endpoint) applyPutHeld(m *Msg) (fn func(*Endpoint), ok bool) {
@@ -227,7 +206,7 @@ func (ep *Endpoint) applyPutHeld(m *Msg) (fn func(*Endpoint), ok bool) {
 		return nil, false
 	}
 	ep.Segment().CopyIn(uint32(m.A1), data)
-	ep.putApplied(m)
+	ep.noteApplied(m.From, m.A0)
 	fn = m.Fn
 	if m.A2 != 0 {
 		if hook := ep.dom.notifyHook; hook != nil {
@@ -372,8 +351,8 @@ type opSlot struct {
 	// callback's shape, so it is stored as is, never wrapped.
 	done func(error)
 	// dst receives the reply's data before done(nil) runs: a get's payload
-	// is copied into it, a fetching atomic's old word stored into it. nil
-	// for a closure put. No failure writes it.
+	// is copied into it, a fetching atomic's old word stored into it. No
+	// failure writes it.
 	dst []byte
 	// peer is the target rank, so a peer-death sweep can find the slot.
 	peer int32
@@ -474,9 +453,7 @@ func handleAck(ep *Endpoint, m *Msg) {
 	case hGetRep:
 		copy(s.dst, m.Payload)
 	case hAmoRep:
-		if s.dst != nil {
-			binary.NativeEndian.PutUint64(s.dst, m.A1)
-		}
+		binary.NativeEndian.PutUint64(s.dst, m.A1)
 	}
 	s.done(nil)
 }

@@ -19,13 +19,14 @@ import (
 // single-node UDP runs (§IV): RMA and atomic data movement is a direct
 // load/store on the target segment and completes synchronously, and only
 // the active messages (collective tokens, RPCs and their acknowledgments)
-// round-trip through the kernel. A closure-carrying message (a user RPC
-// body, a remote completion) cannot be serialized onto a socket in Go; in
-// this shape it is handed over through the in-memory queue and counted
-// (Stats.InMemFallbacks). In a multiproc world (Config.Multiproc) each
-// process hosts one rank, every other rank is a remote node, and every
-// remote operation crosses the wire; closure messages to another rank are
-// refused before injection (DESIGN.md).
+// round-trip through the kernel. In a multiproc world (Config.Multiproc)
+// each process hosts one rank, every other rank is a remote node, and
+// every remote operation crosses the wire. Either way every message takes
+// one path, the sequenced stream to its destination. A closure-carrying
+// message (a user RPC body, a remote completion) travels by handle: the
+// closure waits in the domain's table for the receiver to take it
+// (fntable.go), so a multiproc world refuses closures to another rank
+// before injection (DESIGN.md).
 //
 // Every datagram starts with a one-byte frame tag. frameBatch carries the
 // wire messages a sender staged for one destination (see coalescer and
@@ -641,7 +642,7 @@ func scanFrame(frame []byte, replies uint64) (n int, level uint32, corrupt bool)
 		if len(body) < wireHeaderLen {
 			return n, ackUrgent, true
 		}
-		if replies&(1<<body[0]) == 0 {
+		if replies&(1<<(body[0]&^fnFlag)) == 0 {
 			level = ackUrgent
 		}
 		n++
@@ -676,12 +677,12 @@ func (d *Domain) deliverParsed(ep *Endpoint, from int, wb *wireBuf, frame []byte
 }
 
 // isFrame reports whether inbox entry m is a received UDP frame, one entry
-// for many messages, rather than a single message. Only a socket-fed
-// endpoint holds frames, and every other entry it holds carries a closure
-// (Send stages wire-encodable messages for the socket), so a message sent
-// with the reserved id hFrame is still dispatched — and dropped — as one.
+// for many messages. A socket-fed endpoint's inbox holds nothing else —
+// every message sent to it, a self-send included, arrives in a frame — and
+// a wire message with the reserved id hFrame is dispatched, and dropped,
+// from within its frame.
 func (ep *Endpoint) isFrame(m *Msg) bool {
-	return m.Handler == hFrame && m.Fn == nil && ep.host != nil
+	return m.Handler == hFrame && ep.host != nil
 }
 
 // expandFrame expands one hFrame inbox entry on the owner goroutine: it
@@ -692,11 +693,13 @@ func (ep *Endpoint) isFrame(m *Msg) bool {
 // state and address their replies by From. For Poll (internal false) it
 // dispatches every message and returns how many; the messages borrow the
 // frame's reference, and a handler keeps Payload bytes only by copying
-// them, as on every conduit. For PollInternal it applies the requests,
-// holds a copy of every other message for the next Poll — each copy with
-// its own reference on the frame — and returns how many requests it
-// applied. A handler that polls dispatches the frame's remaining messages
-// in that nested round; the frame's reference is still dropped here.
+// them, as on every conduit. A closure message first takes its closure
+// out of the domain's table, or is dropped (host.takeFn). For
+// PollInternal it applies the requests, holds a copy of every other
+// message for the next Poll — each copy with its own reference on the
+// frame — and returns how many requests it applied. A handler that polls
+// dispatches the frame's remaining messages in that nested round; the
+// frame's reference is still dropped here.
 func (h *host) expandFrame(e *Msg, internal bool) int {
 	wb := e.buf
 	e.buf = nil
@@ -719,6 +722,10 @@ func (h *host) expandRest(internal bool) int {
 		body, _ := h.frame.next()
 		decodeWire(rx, body)
 		rx.From = h.frameFrom
+		rx.Fn = nil
+		if rx.Handler&fnFlag != 0 && !h.takeFn(rx) {
+			continue
+		}
 		switch {
 		case !internal:
 			h.ep.dispatch(rx)
@@ -814,15 +821,29 @@ type coalescer struct {
 }
 
 // stage packs m into destination to's open batch, opening one if needed.
-// A message that does not fit the destination's datagram first seals the
-// full one. A batch opens in the smallest buffer class that holds its
-// first message and moves to a datagram-sized one when it outgrows it,
-// so a frame that carries one message pins no more than before
-// coalescing did in the retransmit queue. Owner goroutine only.
+// A closure message parks its closure in the domain's table and carries
+// the handle (fntable.go). A message that does not fit the destination's
+// datagram first seals the full one. A batch opens in the smallest buffer
+// class that holds its first message and moves to a datagram-sized one
+// when it outgrows it, so a frame that carries one message pins no more
+// than before coalescing did in the retransmit queue. Owner goroutine
+// only.
 func (h *host) stage(to int, m *Msg) {
+	d := h.ep.dom
 	need := 4 + wireHeaderLen + len(m.Payload)
+	// Checked before locking: a panic must leave the coalescer usable.
+	if m.Fn != nil {
+		need += fnRefLen
+		if d.cfg.Multiproc && to != h.rank {
+			// Backstop: the runtime layer gates closure-carrying operations
+			// with ErrNotWireEncodable before injection; reaching here means
+			// that gate was bypassed, and the receiving process could never
+			// resolve the handle.
+			panic(fmt.Sprintf("gasnet: closure message (handler %d) to remote rank %d in a multiproc world",
+				m.Handler, to))
+		}
+	}
 	if relHeaderLen+batchHeaderLen+need > maxUDPPayload {
-		// Checked before locking: the panic must leave the coalescer usable.
 		panic(fmt.Sprintf("gasnet: AM payload %d bytes exceeds UDP conduit limit %d",
 			len(m.Payload), maxUDPPayload))
 	}
@@ -833,16 +854,16 @@ func (h *host) stage(to int, m *Msg) {
 		if len(c.dirty) == 0 {
 			c.since.Store(clockRefresh())
 		}
-		wb = c.open(to, need, h.ep.dom)
+		wb = c.open(to, need, d)
 		c.dirty = append(c.dirty, to)
 	} else if len(wb.b)+need > maxUDPPayload || c.counts[to] == 1<<16-1 {
 		// The full datagram is sealed, not written: it rides the next
 		// vectorized write with the rest of the staged set (a full window
 		// writes it while the seal waits).
 		h.stageDest(to, true)
-		wb = c.open(to, need, h.ep.dom) // to stays in dirty
+		wb = c.open(to, need, d) // to stays in dirty
 	} else if len(wb.b)+need > cap(wb.b) {
-		big := h.ep.dom.arena.get(bufClassLarge)
+		big := d.arena.get(bufClassLarge)
 		big.b = append(big.b[:0], wb.b...)
 		wb.release()
 		wb, c.bufs[to] = big, big
@@ -850,6 +871,10 @@ func (h *host) stage(to int, m *Msg) {
 	lenOff := len(wb.b)
 	wb.b = append(wb.b, 0, 0, 0, 0)
 	wb.b = appendMsg(wb.b, m)
+	if m.Fn != nil {
+		wb.b[lenOff+4] |= fnFlag
+		wb.b = binary.LittleEndian.AppendUint64(wb.b, d.fns.park(m.Fn, h.rank, to))
+	}
 	binary.LittleEndian.PutUint32(wb.b[lenOff:], uint32(len(wb.b)-lenOff-4))
 	c.counts[to]++
 	c.mu.Unlock()
@@ -949,7 +974,10 @@ func (h *host) stageDest(to int, block bool) bool {
 	c.bufs[to] = nil
 	c.counts[to] = 0
 	if !ok {
-		wb.release() // shutdown or a down peer: dropped
+		// Shutdown or a down peer: dropped, and with it any closure this
+		// rank parked for the peer.
+		wb.release()
+		d.fns.drop(h.rank, to)
 		return true
 	}
 	if count > 1 {
@@ -1092,8 +1120,9 @@ func (d *Domain) sendBye() {
 }
 
 // Close releases conduit resources: the reliability ticker, the UDP
-// sockets and their read slots, and any buffers still parked in
-// retransmission or reorder queues. It is idempotent and a no-op for the
+// sockets and their read slots, any buffers still parked in
+// retransmission or reorder queues, and the closures of messages still in
+// flight. It is idempotent and a no-op for the
 // in-memory conduits. Endpoints must not be driven after Close. Staged
 // sends ship first, then, in a multiproc world, departure is announced to
 // the surviving peers (sendBye), integrating graceful teardown with the
@@ -1112,4 +1141,5 @@ func (d *Domain) Close() {
 	d.rel.shutdown()
 	d.udp.close()
 	d.rel.drainState()
+	d.fns.reset()
 }

@@ -64,18 +64,42 @@ func TestUDPWireDelivery(t *testing.T) {
 	}
 }
 
+// TestUDPClosureFallback: a closure message takes no path of its own on the
+// UDP conduit. Send parks the closure and stages a wire message naming it;
+// the message leaves as a datagram, and the receiver takes the closure out
+// of the table and runs it exactly once. The warm table parks and takes
+// without allocating.
 func TestUDPClosureFallback(t *testing.T) {
 	d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP})
 	defer d.Close()
-	ran := false
+	ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
+	ran := 0
 	d.RegisterHandler(HandlerUserBase, func(ep *Endpoint, m *Msg) { m.Fn(ep) })
-	d.Endpoint(0).Send(1, Msg{Handler: HandlerUserBase, Fn: func(*Endpoint) { ran = true }})
-	deadline := time.Now().Add(time.Second)
-	for !ran && time.Now().Before(deadline) {
-		d.Endpoint(1).Poll()
+	before := d.Stats()
+	ep0.Send(1, Msg{Handler: HandlerUserBase, Fn: func(*Endpoint) { ran++ }})
+	if n := parkedFns(d); n != 1 {
+		t.Fatalf("%d closures parked after Send, want 1", n)
 	}
-	if !ran {
-		t.Error("closure message lost on UDP conduit")
+	ep0.Flush()
+	if n := d.Stats().DatagramsSent - before.DatagramsSent; n != 1 {
+		t.Fatalf("the closure message left in %d datagrams, want 1", n)
+	}
+	waitDelivered(t, d, ep1, 0)
+	for range 4 {
+		ep1.Poll()
+	}
+	if ran != 1 {
+		t.Errorf("closure ran %d times, want exactly once", ran)
+	}
+	if n := parkedFns(d); n != 0 {
+		t.Errorf("%d closures still parked after delivery", n)
+	}
+	if raceEnabled {
+		return
+	}
+	fn := func(*Endpoint) {}
+	if a := testing.AllocsPerRun(100, func() { d.fns.take(d.fns.park(fn, 0, 1), 0, 1) }); a != 0 {
+		t.Errorf("%.1f allocations per park and take on a warm table, want 0", a)
 	}
 }
 

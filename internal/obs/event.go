@@ -50,12 +50,6 @@ const (
 	// acknowledged. Peer is -1 (the op table does not thread the target
 	// here); A holds the operation family (core.OpKind).
 	EvDeadlineExpired
-	// EvInMemFallback: a UDP-conduit world delivered a closure-carrying
-	// message through the in-memory handoff because the wire cannot
-	// encode it — the run is not fully exercising the wire it claims to.
-	// Emitted once per Domain (the first fallback; Stats.InMemFallbacks
-	// counts them all). A holds the handler id of the first fallback.
-	EvInMemFallback
 	// EvPeerReadmitted: a Down (or freshly restarted) peer rejoined under
 	// a new incarnation and was readmitted with reset reliability state.
 	// A holds the new incarnation, B the previously recorded one (0 when
@@ -103,8 +97,6 @@ func (k EventKind) String() string {
 		return "retransmit-exhausted"
 	case EvDeadlineExpired:
 		return "deadline-expired"
-	case EvInMemFallback:
-		return "in-mem-fallback"
 	case EvPeerReadmitted:
 		return "peer-readmitted"
 	case EvStaleIncarnation:

@@ -15,8 +15,9 @@ import (
 // handler named by id instead of carried as a closure, so the whole
 // request is data and crosses process boundaries unchanged. In a
 // Multiproc world this is the only remote-completion form; in-process
-// worlds accept both (the closure form short-circuits through memory on
-// the UDP conduit, counted as Stats.InMemFallbacks).
+// worlds accept both (on the UDP conduit the closure form's message
+// carries a handle to the closure, which only this address space can
+// resolve).
 
 // RputNotify initiates a put of val to dst followed by the target-side
 // invocation of registered handler id with args (the handler's reply

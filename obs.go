@@ -42,7 +42,6 @@ const (
 	EvWindowGrow          = obs.EvWindowGrow
 	EvRetransmitExhausted = obs.EvRetransmitExhausted
 	EvDeadlineExpired     = obs.EvDeadlineExpired
-	EvInMemFallback       = obs.EvInMemFallback
 	EvPeerReadmitted      = obs.EvPeerReadmitted
 	EvStaleIncarnation    = obs.EvStaleIncarnation
 )

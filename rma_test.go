@@ -1,6 +1,7 @@
 package gupcxx_test
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"gupcxx"
@@ -81,8 +82,9 @@ func TestRputLPCCompletion(t *testing.T) {
 // TestRemoteCompletionRPC: the remote_cx callback runs on the target rank
 // after data arrival, for both co-located and cross-node targets.
 func TestRemoteCompletionRPC(t *testing.T) {
-	for _, conduit := range []gupcxx.Conduit{gupcxx.PSHM, gupcxx.SIM} {
+	for _, conduit := range []gupcxx.Conduit{gupcxx.PSHM, gupcxx.SIM, gupcxx.UDP} {
 		cfg := gupcxx.Config{Ranks: 2, Conduit: conduit, SegmentBytes: 1 << 16}
+		var remote, checks atomic.Int64
 		err := gupcxx.Launch(cfg, func(r *gupcxx.Rank) {
 			p := gupcxx.New[int64](r)
 			flag := gupcxx.New[int64](r)
@@ -98,10 +100,12 @@ func TestRemoteCompletionRPC(t *testing.T) {
 					gupcxx.OpFuture(),
 					gupcxx.RemoteRPC(func() {
 						// runs on rank 1's progress goroutine
+						remote.Add(1)
 					}),
 				).Wait()
 				// Now instruct rank 1 via RPC to validate arrival order.
 				ok := gupcxx.RPCCall(r, 1, func(tr *gupcxx.Rank) bool {
+					checks.Add(1)
 					return *ptrs[1].Local(tr) == 123
 				}).Wait()
 				if !ok {
@@ -114,31 +118,45 @@ func TestRemoteCompletionRPC(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		if n, c := remote.Load(), checks.Load(); n != 1 || c != 1 {
+			t.Errorf("%v: remote completion ran %d times and the check RPC %d, want once each", conduit, n, c)
+		}
 	}
 }
 
 // TestRemoteCompletionRunsOnTarget verifies the remote callback executes
-// on the target rank's goroutine (it can see target-rank state).
+// on the target rank's goroutine (it can see target-rank state), exactly
+// once — on UDP too, where it crosses the wire by handle.
 func TestRemoteCompletionRunsOnTarget(t *testing.T) {
-	cfg := gupcxx.Config{Ranks: 2, Conduit: gupcxx.PSHM, SegmentBytes: 1 << 16}
-	err := gupcxx.Launch(cfg, func(r *gupcxx.Rank) {
-		p := gupcxx.New[int64](r)
-		ptrs := gupcxx.ExchangePtr(r, p)
-		r.Barrier()
-		if r.Me() == 0 {
-			seen := make(chan int, 1)
-			gupcxx.Rput(r, 7, ptrs[1],
-				gupcxx.OpFuture(),
-				gupcxx.RemoteRPC(func() { seen <- 1 }),
-			).Wait()
-			// The remote rank must make progress for the RPC to run; it is
-			// spinning at the barrier below, which drives its engine.
-			<-seen
+	for _, conduit := range []gupcxx.Conduit{gupcxx.PSHM, gupcxx.UDP} {
+		cfg := gupcxx.Config{Ranks: 2, Conduit: conduit, SegmentBytes: 1 << 16}
+		var runs atomic.Int64
+		err := gupcxx.Launch(cfg, func(r *gupcxx.Rank) {
+			p := gupcxx.New[int64](r)
+			ptrs := gupcxx.ExchangePtr(r, p)
+			r.Barrier()
+			if r.Me() == 0 {
+				seen := make(chan int, 1)
+				gupcxx.Rput(r, 7, ptrs[1],
+					gupcxx.OpFuture(),
+					gupcxx.RemoteRPC(func() {
+						if runs.Add(1) == 1 {
+							seen <- 1
+						}
+					}),
+				).Wait()
+				// The remote rank must make progress for the RPC to run; it is
+				// spinning at the barrier below, which drives its engine.
+				<-seen
+			}
+			r.Barrier()
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-		r.Barrier()
-	})
-	if err != nil {
-		t.Fatal(err)
+		if n := runs.Load(); n != 1 {
+			t.Errorf("%v: remote completion ran %d times, want once", conduit, n)
+		}
 	}
 }
 

@@ -7,16 +7,21 @@ import (
 	"gupcxx"
 )
 
+// TestRPCVoidAndValue: each rank sends its neighbour one void RPC and one
+// value RPC, and each body runs exactly once, on its target — on UDP too,
+// where the closure crosses the wire by handle, under whatever fault
+// preset the environment arms (make test-fault).
 func TestRPCVoidAndValue(t *testing.T) {
-	for _, conduit := range []gupcxx.Conduit{gupcxx.PSHM, gupcxx.SIM} {
+	for _, conduit := range []gupcxx.Conduit{gupcxx.PSHM, gupcxx.SIM, gupcxx.UDP} {
 		cfg := gupcxx.Config{Ranks: 3, Conduit: conduit, SegmentBytes: 1 << 12}
-		var hits atomic.Int64
+		var hits, calls [3]atomic.Int64
 		err := gupcxx.Launch(cfg, func(r *gupcxx.Rank) {
 			target := (r.Me() + 1) % r.N()
 			gupcxx.RPC(r, target, func(tr *gupcxx.Rank) {
-				hits.Add(int64(tr.Me()) + 1)
+				hits[tr.Me()].Add(1)
 			}).Wait()
 			v := gupcxx.RPCCall(r, target, func(tr *gupcxx.Rank) string {
+				calls[tr.Me()].Add(1)
 				return "from " + string(rune('0'+tr.Me()))
 			}).Wait()
 			want := "from " + string(rune('0'+target))
@@ -28,8 +33,10 @@ func TestRPCVoidAndValue(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if hits.Load() != 1+2+3 {
-			t.Errorf("%v: hits = %d", conduit, hits.Load())
+		for i := range hits {
+			if h, c := hits[i].Load(), calls[i].Load(); h != 1 || c != 1 {
+				t.Errorf("%v: rank %d ran %d void and %d value RPC bodies, want 1 each", conduit, i, h, c)
+			}
 		}
 	}
 }
