@@ -838,7 +838,7 @@ func (ep *Endpoint) dispatch(m *Msg) {
 
 // sweepDown fails the pending operations of every peer whose death
 // generation advanced since the last sweep, with ErrPeerUnreachable, frees
-// the closures this rank parked for it, and runs the runtime layer's
+// the closures this rank parked for its buried incarnation, and runs the runtime layer's
 // peer-down hook. The generation comparison — not the current Down
 // state — is what makes the sweep churn-correct: a peer may die and be
 // readmitted between two polls, and the operations in flight against its
@@ -857,7 +857,7 @@ func (ep *Endpoint) sweepDown(h *host) {
 			continue
 		}
 		ep.deathsSeen[peer] = cur
-		ep.dom.fns.drop(ep.rank, peer)
+		ep.dom.fns.drop(ep.rank, peer, cur)
 		n := ep.ops.failPeer(int32(peer), cur, ErrPeerUnreachable) +
 			ep.failQueued(peer, cur, ErrPeerUnreachable)
 		ep.dom.downPeerFails.Add(int64(n))

@@ -40,15 +40,19 @@ type fnTable struct {
 
 // fnSlot is one parked closure and the only pair that may take it: the
 // sending rank, which the receiver's sequenced stream vouches for, and the
-// rank it was sent to. A free slot has a nil fn.
+// rank it was sent to. down is the sender's death generation of the target
+// when the closure was parked (DownGen), so a death sweep frees only what
+// was sent to a buried incarnation. A free slot has a nil fn.
 type fnSlot struct {
 	fn       func(*Endpoint)
 	gen      uint32
+	down     uint32
 	from, to int32
 }
 
-// park stores fn, sent by rank from to rank to, and returns its handle.
-func (t *fnTable) park(fn func(*Endpoint), from, to int) uint64 {
+// park stores fn, sent by rank from to rank to while to's death generation
+// was down, and returns its handle.
+func (t *fnTable) park(fn func(*Endpoint), from, to int, down uint32) uint64 {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if len(t.free) == 0 {
@@ -58,7 +62,7 @@ func (t *fnTable) park(fn func(*Endpoint), from, to int) uint64 {
 	i := t.free[len(t.free)-1]
 	t.free = t.free[:len(t.free)-1]
 	s := &t.slots[i]
-	s.fn, s.from, s.to = fn, int32(from), int32(to)
+	s.fn, s.down, s.from, s.to = fn, down, int32(from), int32(to)
 	return uint64(s.gen)<<32 | uint64(i)
 }
 
@@ -77,14 +81,16 @@ func (t *fnTable) take(ref uint64, from, to int32) (fn func(*Endpoint)) {
 	return fn
 }
 
-// drop frees every closure rank from parked for rank to: the messages a
-// death of to, or its readmission, stranded. Closures pin user memory;
-// none may outlive its peer.
-func (t *fnTable) drop(from, to int) {
+// drop frees every closure rank from parked for rank to before to's death
+// generation gen: the messages a death of to, or its readmission,
+// stranded. Closures pin user memory; none may outlive its peer. One
+// parked at or after gen was sent to the healed or readmitted peer and
+// stays, the rule failPeer and failQueued apply to its operation.
+func (t *fnTable) drop(from, to int, gen uint32) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i, s := range t.slots {
-		if s.fn != nil && s.from == int32(from) && s.to == int32(to) {
+		if s.fn != nil && s.from == int32(from) && s.to == int32(to) && s.down < gen {
 			t.freeSlot(uint32(i))
 		}
 	}

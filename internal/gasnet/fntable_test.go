@@ -3,6 +3,7 @@ package gasnet
 import (
 	"encoding/binary"
 	"net"
+	"slices"
 	"testing"
 	"time"
 )
@@ -104,21 +105,21 @@ func TestClosureHandleUntrusted(t *testing.T) {
 		{"forged slot", d, 0, 1, func() []byte { return handleOf(1 << 20) }},
 		{"short handle", d, 0, 1, func() []byte { return []byte{0, 0, 0} }},
 		{"stale generation", d, 0, 1, func() []byte {
-			old := d.fns.park(bad, 0, 1)
+			old := d.fns.park(bad, 0, 1, 0)
 			d.fns.take(old, 0, 1)
-			d.fns.park(bad, 0, 1) // the same slot, one generation on
+			d.fns.park(bad, 0, 1, 0) // the same slot, one generation on
 			return handleOf(old)
 		}},
 		{"repeated handle", d, 0, 1, func() []byte {
-			ref := d.fns.park(once, 0, 1)
+			ref := d.fns.park(once, 0, 1, 0)
 			if n := deliver(d, 0, 1, d.inc, handleOf(ref)); n != 0 || fnRuns != 1 {
 				t.Errorf("first delivery of a live handle: %d drops, closure ran %d times; want 0 and once", n, fnRuns)
 			}
 			return handleOf(ref)
 		}},
-		{"another sender", d, 0, 1, func() []byte { return handleOf(d.fns.park(bad, 2, 1)) }},
-		{"another target", d, 0, 1, func() []byte { return handleOf(d.fns.park(bad, 0, 2)) }},
-		{"multiproc", md, 1, 0, func() []byte { return handleOf(md.fns.park(bad, 0, 0)) }},
+		{"another sender", d, 0, 1, func() []byte { return handleOf(d.fns.park(bad, 2, 1, 0)) }},
+		{"another target", d, 0, 1, func() []byte { return handleOf(d.fns.park(bad, 0, 2, 0)) }},
+		{"multiproc", md, 1, 0, func() []byte { return handleOf(md.fns.park(bad, 0, 0, 0)) }},
 	} {
 		if n := deliver(tc.dom, tc.from, tc.to, tc.dom.inc, tc.handle()); n != 1 {
 			t.Errorf("%s: %d messages counted and dropped, want 1", tc.name, n)
@@ -136,7 +137,10 @@ func TestClosureHandleUntrusted(t *testing.T) {
 // verdict, a readmission under a new incarnation (whose old stream's
 // frames rank 0 then refuses) — rank 0's next Poll sweeps the peer and
 // frees the closure. A closure sent to the peer while it is down is freed
-// when its frame is refused at seal, and Close frees whatever is left.
+// when its frame is refused at seal, and Close frees whatever is left. The
+// sweep frees only what was sent to the buried incarnation: a closure put
+// sent after the peer healed, but before the sweep that follows its death,
+// is applied and runs once.
 func TestNoClosureOutlivesItsPeer(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -176,4 +180,49 @@ func TestNoClosureOutlivesItsPeer(t *testing.T) {
 			}
 		})
 	}
+	t.Run("heal", func(t *testing.T) {
+		d := newTestDomain(t, Config{Ranks: 2, Conduit: UDP, SegmentBytes: 1 << 12})
+		defer d.Close()
+		ep0, ep1 := d.Endpoint(0), d.Endpoint(1)
+		seg := d.Segment(1)
+		off, _ := seg.Alloc(24)
+		var done []int
+		put := func(i int, fn func(*Endpoint)) {
+			data := binary.LittleEndian.AppendUint64(nil, uint64(i+1))
+			ep0.PutRemote(1, off+uint32(8*i), data, fn, func(err error) {
+				if err != nil {
+					t.Errorf("put %d: %v", i, err)
+				}
+				done = append(done, i)
+			})
+		}
+		round := func() {
+			ep0.Flush()
+			waitDelivered(t, d, ep1, 0)
+			ep1.Poll()
+			waitDelivered(t, d, ep0, 1)
+			ep0.Poll()
+		}
+		put(0, nil) // rank 0 hears rank 1, so a probe ack can heal it
+		round()
+		ep0.host.deliver(1, event{kind: evExhausted})
+		ep0.host.deliver(1, event{kind: evProbeAck, inc: d.inc})
+		if ep0.PeerDown(1) || ep0.DownGen(1) != 1 {
+			t.Fatalf("PeerDown %v, DownGen %d; want the peer healed after one death", ep0.PeerDown(1), ep0.DownGen(1))
+		}
+		ran := 0
+		put(1, func(*Endpoint) { ran++ })
+		put(2, nil)
+		ep0.Poll() // ships both puts, then sweeps the death
+		round()
+		if !slices.Equal(done, []int{0, 1, 2}) || ran != 1 {
+			t.Fatalf("completed puts %v and ran the closure %d times, want [0 1 2] and once", done, ran)
+		}
+		if w := *seg.WordAt(off + 8); w != 2 {
+			t.Errorf("the closure put wrote %d, want 2", w)
+		}
+		if n := parkedFns(d); n != 0 {
+			t.Errorf("%d closures still parked", n)
+		}
+	})
 }

@@ -392,7 +392,7 @@ func FuzzDispatchWire(f *testing.F) {
 				fnTwice++
 			}
 			ran = true
-		}, 1, 0)
+		}, 1, 0, 0)
 	}
 
 	// Seeds: an hHeldFn message off the wire (it carries no closure), and

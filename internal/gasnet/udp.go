@@ -642,7 +642,9 @@ func scanFrame(frame []byte, replies uint64) (n int, level uint32, corrupt bool)
 		if len(body) < wireHeaderLen {
 			return n, ackUrgent, true
 		}
-		if replies&(1<<(body[0]&^fnFlag)) == 0 {
+		// A closure message (fnFlag set: an id of 128 or more, which no
+		// reply bit names) is a request, and urgent.
+		if replies&(1<<body[0]) == 0 {
 			level = ackUrgent
 		}
 		n++
@@ -873,7 +875,8 @@ func (h *host) stage(to int, m *Msg) {
 	wb.b = appendMsg(wb.b, m)
 	if m.Fn != nil {
 		wb.b[lenOff+4] |= fnFlag
-		wb.b = binary.LittleEndian.AppendUint64(wb.b, d.fns.park(m.Fn, h.rank, to))
+		ref := d.fns.park(m.Fn, h.rank, to, h.peers[to].deaths.Load())
+		wb.b = binary.LittleEndian.AppendUint64(wb.b, ref)
 	}
 	binary.LittleEndian.PutUint32(wb.b[lenOff:], uint32(len(wb.b)-lenOff-4))
 	c.counts[to]++
@@ -974,10 +977,11 @@ func (h *host) stageDest(to int, block bool) bool {
 	c.bufs[to] = nil
 	c.counts[to] = 0
 	if !ok {
-		// Shutdown or a down peer: dropped, and with it any closure this
-		// rank parked for the peer.
+		// Shutdown or a down peer: dropped, and with it every closure this
+		// rank parked for the peer so far. None was sent to a later
+		// incarnation: the peer has been Down since its last death.
 		wb.release()
-		d.fns.drop(h.rank, to)
+		d.fns.drop(h.rank, to, h.peers[to].deaths.Load()+1)
 		return true
 	}
 	if count > 1 {

@@ -98,7 +98,7 @@ func TestUDPClosureFallback(t *testing.T) {
 		return
 	}
 	fn := func(*Endpoint) {}
-	if a := testing.AllocsPerRun(100, func() { d.fns.take(d.fns.park(fn, 0, 1), 0, 1) }); a != 0 {
+	if a := testing.AllocsPerRun(100, func() { d.fns.take(d.fns.park(fn, 0, 1, 0), 0, 1) }); a != 0 {
 		t.Errorf("%.1f allocations per park and take on a warm table, want 0", a)
 	}
 }
